@@ -8,134 +8,20 @@ counting problem for generalized binary representations (Stern's sequence
 included), and exhaustive scan / census / figure data generation.
 """
 
-from .gf2poly import (
-    BitCapExceeded,
-    F2Poly,
-    bit_cap,
-    divrem,
-    ell0,
-    ell1,
-    ensure_bits,
-    from_index,
-    modpow_x,
-    mul,
-    parse_poly,
-    reciprocal,
-)
-from .order_beta import (
-    BetaReport,
-    GapCheck,
-    OrderBoundExceeded,
-    OrderCheck,
-    beta,
-    beta_N,
-    cofactor,
-    coordinate_gap_bound_check,
-    is_robust,
-    order,
-    verify_order_divides,
-)
-from .families import (
-    EXACT_ORDER_CEILING,
-    FamilyPrediction,
-    FamilySpec,
-    FamilyVerdict,
-    ab_lemma_check,
-    build as build_family,
-    family_prediction,
-    g_product,
-    glaisher_sum,
-    h_closed_form,
-    odd_binomial_count,
-    one_plus_x_pow,
-    verify_family,
-)
-from .representations import (
-    DigitSet,
-    ParityProfile,
-    count_representations,
-    diatomic_row,
-    parity_profile,
-    parity_series,
-    parity_series_via_cofactor,
-    phi,
-    stern,
-)
-from .search import (
-    FIGURE_COLUMNS,
-    PRESETS,
-    SCAN_COLUMNS,
-    FigureRow,
-    GapCensusEntry,
-    ScanConfig,
-    ScanRecord,
-    figure_data,
-    gap_census,
-    scan,
-    write_figure_csv,
-    write_scan_csv,
-    write_scan_jsonl,
-)
+from . import families, gf2poly, order_beta, representations, search
+from .families import *
+from .families import build as build_family
+from .gf2poly import *
+from .order_beta import *
+from .representations import *
+from .search import *
+
+del build  # exported under the clearer name build_family
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "F2Poly",
-    "BitCapExceeded",
-    "OrderBoundExceeded",
-    "bit_cap",
-    "ensure_bits",
-    "from_index",
-    "parse_poly",
-    "mul",
-    "divrem",
-    "modpow_x",
-    "reciprocal",
-    "ell1",
-    "ell0",
-    "BetaReport",
-    "OrderCheck",
-    "GapCheck",
-    "order",
-    "verify_order_divides",
-    "cofactor",
-    "beta",
-    "beta_N",
-    "is_robust",
-    "coordinate_gap_bound_check",
-    "EXACT_ORDER_CEILING",
-    "FamilySpec",
-    "FamilyPrediction",
-    "FamilyVerdict",
-    "family_prediction",
-    "build_family",
-    "g_product",
-    "one_plus_x_pow",
-    "h_closed_form",
-    "ab_lemma_check",
-    "glaisher_sum",
-    "odd_binomial_count",
-    "verify_family",
-    "DigitSet",
-    "ParityProfile",
-    "phi",
-    "count_representations",
-    "parity_series",
-    "parity_series_via_cofactor",
-    "parity_profile",
-    "stern",
-    "diatomic_row",
-    "ScanConfig",
-    "ScanRecord",
-    "FigureRow",
-    "GapCensusEntry",
-    "PRESETS",
-    "SCAN_COLUMNS",
-    "FIGURE_COLUMNS",
-    "scan",
-    "figure_data",
-    "gap_census",
-    "write_scan_csv",
-    "write_scan_jsonl",
-    "write_figure_csv",
+    "build_family" if name == "build" else name
+    for module in (gf2poly, order_beta, families, representations, search)
+    for name in module.__all__
 ]

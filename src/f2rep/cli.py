@@ -11,7 +11,6 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
-from multiprocessing import Pool
 
 from .families import (
     FamilySpec,
@@ -31,6 +30,7 @@ from .representations import (
 from .search import (
     PRESETS,
     ScanConfig,
+    _ordered_map,
     figure_data,
     gap_census,
     scan,
@@ -111,11 +111,9 @@ def _cmd_family_range(args: argparse.Namespace) -> int:
         for reciprocal in (False, True)
     ]
     verify = partial(verify_family, allow_large_r=args.allow_large_r)
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            verdicts = pool.map(verify, specs)
-    else:
-        verdicts = [verify(s) for s in specs]
+    # Every member is verified before the first line, so a failing member
+    # prints no partial table.
+    verdicts = list(_ordered_map(verify, specs, args.jobs))
     for v in verdicts:
         print(_family_line(v))
     return 0
@@ -245,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-bound", type=int)
     p.add_argument("--robust-only", action="store_true")
     fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true", default=True)
+    fmt.add_argument("--csv", action="store_true", default=True, help="CSV rows (the default)")
     fmt.add_argument("--json", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="output path (default stdout)")
@@ -265,7 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parity", help="parity period / series of representation counts")
     p.add_argument("--set", required=True)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--profile", action="store_true", default=True)
+    group.add_argument(
+        "--profile", action="store_true", default=True,
+        help="period and odd residues (the default)",
+    )
     group.add_argument("--series", type=int, metavar="N")
     p.set_defaults(func=_cmd_parity)
 

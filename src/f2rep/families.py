@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2poly import F2Poly, ell1, ensure_bits
-from .order_beta import cofactor, verify_order_divides
+from .gf2poly import F2Poly, ensure_bits
+from .order_beta import _stats, cofactor, verify_order_divides
 
 __all__ = [
     "EXACT_ORDER_CEILING",
@@ -204,8 +204,7 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
     f = build(spec)
     check = verify_order_divides(f, pred.period)
     fstar = cofactor(f, pred.period)
-    ones = ell1(fstar)
-    zeros = pred.period - ones
+    ones, zeros, gamma, robust, _, _ = _stats(fstar.bits, pred.period, f.degree)
     closed = None
     if not spec.reciprocal:
         closed = h_closed_form(spec.r, spec.variant) == fstar
@@ -215,8 +214,8 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
         period_divides=check.divides,
         order_exact=check.exact,
         beta=(ones, zeros),
-        gamma=Fraction(ones, pred.period),
+        gamma=gamma,
         matches_prediction=(ones, zeros) == (pred.c, pred.d),
         closed_form_matches=closed,
-        robust=2 * ones > pred.period + 1,
+        robust=robust,
     )

@@ -41,7 +41,12 @@ class BitCapExceeded(RuntimeError):
 def bit_cap() -> int:
     """Active coefficient budget in bits; F2REP_BIT_CAP overrides the default 2**28."""
     raw = os.environ.get("F2REP_BIT_CAP")
-    return _DEFAULT_BIT_CAP if raw is None else int(raw)
+    if raw is None:
+        return _DEFAULT_BIT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"F2REP_BIT_CAP must be an integer, got {raw!r}") from None
 
 
 def ensure_bits(nbits: int) -> None:
@@ -87,10 +92,10 @@ def _square_int(a: int) -> int:
 
 # Below this quotient length the plain bit-at-a-time division wins; above it
 # the table-driven byte-at-a-time division keeps long divisions linear.
-_TABLE_QLEN_MIN = 512
+_TABLE_QLEN_MIN = 256
 
 
-def _divrem_school(a: int, b: int) -> tuple[int, int]:
+def _divrem_school(a: int, b: int, want_q: bool) -> tuple[int, int]:
     db = b.bit_length() - 1
     q = 0
     i = a.bit_length() - 1 - db
@@ -98,7 +103,8 @@ def _divrem_school(a: int, b: int) -> tuple[int, int]:
     while i >= 0:
         if (a >> (db + i)) & 1:
             a ^= shifted
-            q |= 1 << i
+            if want_q:
+                q |= 1 << i
         shifted >>= 1
         i -= 1
     return q, a
@@ -151,7 +157,9 @@ def _divrem_table(a: int, b: int, want_q: bool) -> tuple[int, int]:
     return int.from_bytes(qbytes, "big"), r
 
 
-def _divrem_int(a: int, b: int) -> tuple[int, int]:
+def _divrem_int(a: int, b: int, want_q: bool = True) -> tuple[int, int]:
+    """Quotient and remainder of a by b; want_q False skips building the
+    quotient, and then only the remainder is meaningful."""
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
     if b == 1:
@@ -161,29 +169,8 @@ def _divrem_int(a: int, b: int) -> tuple[int, int]:
     if da < db:
         return 0, a
     if da - db < _TABLE_QLEN_MIN:
-        return _divrem_school(a, b)
-    return _divrem_table(a, b, True)
-
-
-def _mod_int(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    if b == 1:
-        return 0
-    da = a.bit_length() - 1
-    db = b.bit_length() - 1
-    if da < db:
-        return a
-    if da - db < _TABLE_QLEN_MIN:
-        i = da - db
-        shifted = b << i
-        while i >= 0:
-            if (a >> (db + i)) & 1:
-                a ^= shifted
-            shifted >>= 1
-            i -= 1
-        return a
-    return _divrem_table(a, b, False)[1]
+        return _divrem_school(a, b, want_q)
+    return _divrem_table(a, b, want_q)
 
 
 def _modpow_x_int(e: int, m: int) -> int:
@@ -192,7 +179,7 @@ def _modpow_x_int(e: int, m: int) -> int:
     top = 1 << dm
     r = 1
     for i in range(e.bit_length() - 1, -1, -1):
-        r = _mod_int(_square_int(r), m)
+        r = _divrem_int(_square_int(r), m, False)[1]
         if (e >> i) & 1:
             r <<= 1
             if r & top:
@@ -338,7 +325,7 @@ class F2Poly:
     def __mod__(self, other: "F2Poly") -> "F2Poly":
         if not isinstance(other, F2Poly):
             return NotImplemented
-        return F2Poly(_mod_int(self._bits, other._bits))
+        return F2Poly(_divrem_int(self._bits, other._bits, False)[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, F2Poly):

@@ -145,24 +145,35 @@ def cofactor(f: F2Poly, N: int) -> F2Poly:
     return F2Poly(q)
 
 
-def _beta_from(f: F2Poly, N: int, order_exact: bool) -> BetaReport:
-    fstar = cofactor(f, N)
-    ones = fstar.bits.bit_count()
-    zeros = N - ones
+def _stats(q: int, D: int, d: int) -> tuple[int, int, Fraction, bool, int, bool]:
+    """(ell1, ell0, gamma, robust, gap, bound_ok) of the cofactor bits q over
+    the window D, for a polynomial of degree d.
+
+    robust means the ones exceed the zeros by more than one; bound_ok is the
+    integer-exact form gap^2 <= 2^d of the 2^(d/2) ceiling.
+    """
+    ones = q.bit_count()
+    zeros = D - ones
+    gap = abs(ones - zeros)
+    return ones, zeros, Fraction(ones, D), 2 * ones > D + 1, gap, gap * gap <= 1 << d
+
+
+def _beta_from(f: F2Poly, N: int, q: int, order_exact: bool) -> BetaReport:
+    ones, zeros, gamma, robust, _, _ = _stats(q, N, f.degree)
     return BetaReport(
         poly=f,
         period=N,
         order_exact=order_exact,
         beta=(ones, zeros),
-        gamma=Fraction(ones, N),
-        robust=2 * ones > N + 1,
+        gamma=gamma,
+        robust=robust,
     )
 
 
 def beta(f: F2Poly) -> BetaReport:
     """Ones/zeros of the cofactor over one window at the exact order of f."""
     D = order(f)
-    return _beta_from(f, D, True)
+    return _beta_from(f, D, cofactor(f, D).bits, True)
 
 
 def beta_N(f: F2Poly, N: int) -> BetaReport:
@@ -170,24 +181,21 @@ def beta_N(f: F2Poly, N: int) -> BetaReport:
 
     N is checked to actually be a period (x^N = 1 mod f); order_exact records
     whether it is the least one.  Both counts scale linearly in N/order, so
-    gamma is unchanged by the choice of window.
+    gamma is unchanged by the choice of window.  The cofactor is taken before
+    the exactness check, so an N over the bit cap fails before N is factored.
     """
     bits = _require_order_domain(f)
     if N < 1:
         raise ValueError("period must be positive")
     if _modpow_x_int(N, bits) != 1:
         raise ValueError(f"not a period: x^{N} != 1 modulo the polynomial")
-    return _beta_from(f, N, verify_order_divides(f, N).exact)
+    q = cofactor(f, N).bits
+    return _beta_from(f, N, q, verify_order_divides(f, N).exact)
 
 
 def is_robust(f: F2Poly) -> bool:
     """Ones of the cofactor exceed zeros by more than one at the exact order."""
-    rep = beta(f)
-    ones, zeros = rep.beta
-    by_pair = ones > zeros + 1
-    by_threshold = 2 * ones > rep.period + 1
-    assert by_pair == by_threshold
-    return by_pair
+    return beta(f).robust
 
 
 def coordinate_gap_bound_check(f: F2Poly) -> GapCheck:
@@ -196,8 +204,7 @@ def coordinate_gap_bound_check(f: F2Poly) -> GapCheck:
     The pass/fail verdict uses the integer-exact form gap^2 <= 2^k; the float
     bound is carried for display only.
     """
-    rep = beta(f)
-    ones, zeros = rep.beta
-    gap = abs(ones - zeros)
-    k = f.bits.bit_length() - 1
-    return GapCheck(gap=gap, bound=2.0 ** (k / 2), ok=gap * gap <= (1 << k))
+    D = order(f)
+    k = f.degree
+    *_, gap, ok = _stats(cofactor(f, D).bits, D, k)
+    return GapCheck(gap=gap, bound=2.0 ** (k / 2), ok=ok)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TextIO
 
 from .gf2poly import _divrem_int, _text_from_int
-from .order_beta import _order_scan_int
+from .order_beta import _order_scan_int, _stats
 
 __all__ = [
     "ScanConfig",
@@ -138,18 +138,17 @@ def _record(n: int, order_bound: int | None) -> ScanRecord:
         )
     q, r = _divrem_int((1 << D) | 1, n)
     assert r == 0
-    ones = q.bit_count()
-    zeros = D - ones
-    gap = ones - zeros if ones >= zeros else zeros - ones
+    ones, zeros, gamma, robust, gap, bound_ok = _stats(q, D, d)
     return ScanRecord(
         n=n, poly=text, degree=d, order=D, order_exact=True,
-        ell1=ones, ell0=zeros, gamma=Fraction(ones, D),
-        robust=2 * ones > D + 1, gap=gap, bound_ok=gap * gap <= (1 << d),
+        ell1=ones, ell0=zeros, gamma=gamma,
+        robust=robust, gap=gap, bound_ok=bound_ok,
         status="ok",
     )
 
 
-def _scan_block(config: ScanConfig, lo: int, hi: int) -> list[ScanRecord]:
+def _scan_block(task: tuple[ScanConfig, int, int]) -> list[ScanRecord]:
+    config, lo, hi = task
     shape = config.shape
     want = 3 if shape == "trinomial" else 4 if shape == "quadrinomial" else None
     bound = config.order_bound
@@ -161,8 +160,17 @@ def _scan_block(config: ScanConfig, lo: int, hi: int) -> list[ScanRecord]:
     return out
 
 
-def _scan_block_args(args: tuple[ScanConfig, int, int]) -> list[ScanRecord]:
-    return _scan_block(*args)
+def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+    """fn over items, results in item order.
+
+    jobs <= 1 runs in this process; otherwise a pool of `jobs` workers takes
+    one item at a time, so one costly item never shares a worker's chunk.
+    """
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(fn, items, chunksize=1)
 
 
 def scan(
@@ -179,20 +187,14 @@ def scan(
     blocks = [(lo, min(lo + _BLOCK, stop)) for lo in range(1, stop, _BLOCK)]
     total = stop // 2
     done = 0
-    if config.jobs == 1:
-        for lo, hi in blocks:
-            yield from _scan_block(config, lo, hi)
-            done += (hi - lo + 1) // 2
-            if progress is not None:
-                progress(done, total)
-        return
-    with multiprocessing.Pool(config.jobs) as pool:
-        args = [(config, lo, hi) for lo, hi in blocks]
-        for (lo, hi), recs in zip(blocks, pool.imap(_scan_block_args, args)):
-            yield from recs
-            done += (hi - lo + 1) // 2
-            if progress is not None:
-                progress(done, total)
+    tasks = [(config, lo, hi) for lo, hi in blocks]
+    results = _ordered_map(_scan_block, tasks, config.jobs)
+    for lo, hi in blocks:
+        # Left unnamed, so a block's records are freed before the next block runs.
+        yield from next(results)
+        done += (hi - lo + 1) // 2
+        if progress is not None:
+            progress(done, total)
 
 
 def figure_data(index_max: int = 4096) -> Iterator[FigureRow]:
@@ -220,22 +222,25 @@ def gap_census(
 ) -> list[GapCensusEntry]:
     """Largest observed |ell1 - ell0| per degree k = 1..degree_max.
 
-    The verdict per degree uses the integer-exact form max_gap^2 <= 2^k; the
-    float bound 2^(k/2) is carried for display.
+    A degree passes when every record of it passes, which is the integer-exact
+    form max_gap^2 <= 2^k; the float bound 2^(k/2) is carried for display.
     """
     if degree_max < 1:
         raise ValueError("degree_max must be >= 1")
     maxima: dict[int, int] = {}
+    failed: set[int] = set()
     cfg = ScanConfig(degree_max=degree_max, jobs=jobs)
     for rec in scan(cfg, progress=progress):
         if rec.status != "ok":
             continue
         if rec.gap > maxima.get(rec.degree, -1):
             maxima[rec.degree] = rec.gap
+        if not rec.bound_ok:
+            failed.add(rec.degree)
     out = []
     for k in range(1, degree_max + 1):
         g = maxima.get(k, 0)
-        out.append(GapCensusEntry(degree=k, max_gap=g, bound=2.0 ** (k / 2), ok=g * g <= (1 << k)))
+        out.append(GapCensusEntry(degree=k, max_gap=g, bound=2.0 ** (k / 2), ok=k not in failed))
     return out
 
 

@@ -93,6 +93,11 @@ def test_scan_preset_robust_only(capsys):
     ]
 
 
+def test_scan_csv_flag_is_the_default(capsys):
+    _, default, _ = run(capsys, "scan", "--index-max", "64")
+    assert run(capsys, "scan", "--index-max", "64", "--csv")[1] == default
+
+
 def test_scan_explicit_extent_json(capsys):
     _, out, _ = run(capsys, "scan", "--index-max", "8", "--json")
     lines = out.splitlines()
@@ -144,6 +149,11 @@ def test_parity_profile_default(capsys):
     assert out == "period=3 order_exact=true odd_count=2 odd_residues={0,1}\n"
 
 
+def test_parity_profile_flag_is_the_default(capsys):
+    _, default, _ = run(capsys, "parity", "--set", "{0,1,3}")
+    assert run(capsys, "parity", "--set", "{0,1,3}", "--profile")[1] == default
+
+
 def test_parity_series(capsys):
     _, out, _ = run(capsys, "parity", "--set", "{0,1,2}", "--series", "8")
     assert out == "11011011\n"
@@ -179,6 +189,21 @@ def test_errors_name_the_problem(capsys, argv, needle):
     assert out == ""
     assert err.startswith("error:")
     assert needle in err
+
+
+def test_beta_period_over_the_bit_cap_fails_fast(capsys):
+    # A prime period 2^61 - 1 of x + 1: it must be rejected by the bit cap
+    # before anything tries to factor it.
+    code, out, err = run(capsys, "beta", "x+1", "--period", "2305843009213693951")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: operation needs about 2305843009213693952 coefficient bits")
+
+
+def test_bad_bit_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("F2REP_BIT_CAP", "abc")
+    code, out, err = run(capsys, "beta", "x^2 + x + 1")
+    assert (code, out) == (1, "")
+    assert err == "error: F2REP_BIT_CAP must be an integer, got 'abc'\n"
 
 
 def test_unknown_arguments_exit_2(capsys):

@@ -1,0 +1,38 @@
+"""Golden digests: the full output bytes of the long CLI runs are fixed.
+
+Each digest is the sha256 of everything one `f2rep` command writes to
+stdout.  A refactor that changes a single byte of a CSV row, a family line
+or a figure value fails here, whatever the unit tests still accept.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from f2rep.cli import main
+
+GOLDEN = {
+    ("figure", "--max", "4096"):
+        "f8ddf3076e913945931506052c5547d6b874edf3c4fd06844db926de29e24fa8",
+    ("family", "range", "--r-max", "10"):
+        "e622c4e2a511f52f9552d44c7ede9524b4a0a8c32a840c0df97f83275c642583",
+    ("scan", "--preset", "trinomials19"):
+        "96a28118773a5bd0388c73864199926ae887b5f021c7d48fabb7a863db1b622b",
+    ("scan", "--preset", "quadrinomials18"):
+        "7dc05a7d9bd8cbb2b219c61ecfc7e933ed287c6a6279f68b9b34ba47d84017a1",
+    ("gapcheck", "--degree-max", "10"):
+        "54b59775c47701266ee1d567b34d66376e5f452687e439b680e96171d2e0ca03",
+    ("scan", "--index-max", "4096", "--jobs", "2"):
+        "93fdb16ae7f59dbbcdc1fe3748a321ba8e043010348905458b9f05c89cd8bb20",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_output_digest(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN[argv]
