@@ -187,6 +187,16 @@ def _modpow_x_int(e: int, m: int) -> int:
     return r
 
 
+def _gcd_int(a: int, b: int) -> int:
+    """Greatest common divisor by Euclid, reducing with shifted xors."""
+    while b:
+        db = b.bit_length()
+        while a.bit_length() >= db:
+            a ^= b << (a.bit_length() - db)
+        a, b = b, a
+    return a
+
+
 def _reciprocal_int(a: int) -> int:
     return int(format(a, "b")[::-1], 2)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2poly import F2Poly
+from .gf2poly import F2Poly, ensure_bits
 from .order_beta import cofactor, order
 
 __all__ = [
@@ -148,6 +148,7 @@ def parity_series(A: DigitSet, N: int) -> list[int]:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
+    ensure_bits(N)
     taps = [a for a in A.digits if a > 0]
     bits = [0] * N
     if N > 0:

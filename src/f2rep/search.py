@@ -8,7 +8,7 @@ index regardless of the worker count, so runs are byte-reproducible.
 
 Index 1 (the constant polynomial 1) has no order in this framework; its
 record carries status "degenerate" and is excluded from density censuses.
-Records whose order scan hits a configured cap carry status "unresolved"
+Records whose order exceeds a configured cap carry status "unresolved"
 rather than being dropped, keeping censuses honest about their universe.
 """
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TextIO
 
 from .gf2poly import _divrem_int, _text_from_int
-from .order_beta import _order_scan_int, _stats
+from .order_beta import _order_int, _stats
 
 __all__ = [
     "ScanConfig",
@@ -120,21 +120,13 @@ PRESETS: dict[str, ScanConfig] = {
 
 def _record(n: int, order_bound: int | None) -> ScanRecord:
     text = _text_from_int(n)
-    if n == 1:
-        return ScanRecord(
-            n=1, poly=text, degree=0, order=None, order_exact=None,
-            ell1=None, ell0=None, gamma=None, robust=None,
-            gap=None, bound_ok=None, status="degenerate",
-        )
     d = n.bit_length() - 1
-    default_bound = (1 << d) - 1
-    bound = default_bound if order_bound is None else min(order_bound, default_bound)
-    D = _order_scan_int(n, bound)
+    D = None if n == 1 else _order_int(n, order_bound)
     if D is None:
         return ScanRecord(
             n=n, poly=text, degree=d, order=None, order_exact=None,
-            ell1=None, ell0=None, gamma=None, robust=None,
-            gap=None, bound_ok=None, status="unresolved",
+            ell1=None, ell0=None, gamma=None, robust=None, gap=None,
+            bound_ok=None, status="degenerate" if n == 1 else "unresolved",
         )
     q, r = _divrem_int((1 << D) | 1, n)
     assert r == 0
@@ -142,8 +134,7 @@ def _record(n: int, order_bound: int | None) -> ScanRecord:
     return ScanRecord(
         n=n, poly=text, degree=d, order=D, order_exact=True,
         ell1=ones, ell0=zeros, gamma=gamma,
-        robust=robust, gap=gap, bound_ok=bound_ok,
-        status="ok",
+        robust=robust, gap=gap, bound_ok=bound_ok, status="ok",
     )
 
 

@@ -55,6 +55,21 @@ def ref_order(m: set[int], bound: int) -> int | None:
     return None
 
 
+def ref_primes(n: int) -> tuple[int, ...]:
+    """Distinct primes of n by plain trial division up to sqrt(n)."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def ref_reciprocal(a: set[int]) -> set[int]:
     d = max(a)
     return {d - e for e in a}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from f2rep import parse_poly
@@ -204,6 +206,31 @@ def test_bad_bit_cap_names_the_variable(capsys, monkeypatch):
     code, out, err = run(capsys, "beta", "x^2 + x + 1")
     assert (code, out) == (1, "")
     assert err == "error: F2REP_BIT_CAP must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "poly,D",
+    [("x^39+x^4+1", (1 << 39) - 1), ("x^63+x+1", (1 << 63) - 1)],
+)
+def test_order_of_primitive_trinomials_past_the_scan(capsys, poly, D):
+    assert run(capsys, "order", poly) == (0, f"{D}\n", "")
+
+
+def test_order_that_needs_an_unfactorable_mersenne_number_fails_fast(capsys):
+    # x^71 + x^6 + 1 is irreducible; 2^71 - 1 has two prime factors past 2^20.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "order", "x^71+x^6+1")
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot factor {(1 << 71) - 1}")
+
+
+def test_parity_series_over_the_bit_cap_fails_fast(capsys, monkeypatch):
+    monkeypatch.setenv("F2REP_BIT_CAP", "1000")
+    assert run(capsys, "parity", "--set", "{0,1,2}", "--series", "1000")[0] == 0
+    code, out, err = run(capsys, "parity", "--set", "{0,1,2}", "--series", "1001")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: operation needs about 1001 coefficient bits but the cap is 1000")
 
 
 def test_unknown_arguments_exit_2(capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2rep import (
@@ -24,8 +24,18 @@ from f2rep import (
     verify_order_divides,
 )
 
+from f2rep.gf2poly import _modpow_x_int
+from f2rep.order_beta import (
+    _ORDER_SCAN_MAX,
+    _is_prime,
+    _order_factored_int,
+    _order_int,
+    _order_scan_int,
+    _prime_factors,
+)
+
 from conftest import F31_STAR_EXPONENTS, F32_STAR_EXPONENTS
-from reference import ref_order
+from reference import ref_order, ref_primes
 
 
 @pytest.mark.parametrize(
@@ -69,6 +79,42 @@ def test_order_matches_stepwise_oracle(high):
     assert chk.divides and chk.exact
 
 
+def test_factored_order_matches_the_scan_up_to_degree_12():
+    for n in range(3, 1 << 13, 2):
+        d = n.bit_length() - 1
+        assert _order_factored_int(n) == _order_scan_int(n, (1 << d) - 1), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=13, max_value=28).flatmap(
+    lambda d: st.integers(min_value=0, max_value=(1 << (d - 1)) - 1).map(
+        lambda mid: (1 << d) | (mid << 1) | 1)))
+def test_order_certificate_degrees_13_to_28(n):
+    D = order(F2Poly(n))
+    assert D <= (1 << (n.bit_length() - 1)) - 1
+    assert _modpow_x_int(D, n) == 1
+    assert all(_modpow_x_int(D // p, n) != 1 for p in ref_primes(D))
+
+
+# Orders at the crossover: x^10 + x^3 + 1 is primitive, of order 1023, and
+# (x + 1)^513 = (x^512 + 1)(x + 1) has order 1024.
+X10_PRIMITIVE = (1 << 10) | (1 << 3) | 1
+X_PLUS_1_POW_513 = (1 << 513) | (1 << 512) | 0b11
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=(1 << 13) - 1).map(lambda h: (h << 1) | 1),
+    st.integers(min_value=1, max_value=2 * _ORDER_SCAN_MAX),
+)
+@example(X10_PRIMITIVE, _ORDER_SCAN_MAX - 1)
+@example(X10_PRIMITIVE, _ORDER_SCAN_MAX)
+@example(X_PLUS_1_POW_513, _ORDER_SCAN_MAX - 1)
+@example(X_PLUS_1_POW_513, _ORDER_SCAN_MAX)
+def test_order_kernel_agrees_with_the_scan_on_both_sides_of_the_crossover(n, bound):
+    assert _order_int(n, bound) == _order_scan_int(n, bound)
+
+
 @pytest.mark.parametrize(
     "poly,candidate,divides,exact",
     [
@@ -83,6 +129,39 @@ def test_order_matches_stepwise_oracle(high):
 def test_verify_order_divides(poly, candidate, divides, exact):
     chk = verify_order_divides(parse_poly(poly), candidate)
     assert (chk.divides, chk.exact) == (divides, exact)
+
+
+@pytest.mark.parametrize(
+    "n,primes",
+    [
+        (1, ()),
+        (1 << 10, (2,)),
+        (360, (2, 3, 5)),
+        ((1 << 39) - 1, (7, 79, 8191, 121369)),
+        ((1 << 63) - 1, (7, 73, 127, 337, 92737, 649657)),
+        (3 * ((1 << 61) - 1), (3, (1 << 61) - 1)),  # prime past the trial budget
+    ],
+)
+def test_prime_factors(n, primes):
+    assert _prime_factors(n) == primes
+
+
+def test_prime_factors_match_trial_division_below_3000():
+    for n in range(1, 3000):
+        assert _prime_factors(n) == ref_primes(n)
+
+
+def test_prime_factors_refuse_a_cofactor_past_the_budget():
+    # 2^71 - 1 = 228479 * 48544121 * 212885833: the last two are past 2^20.
+    with pytest.raises(ValueError, match=f"cannot factor {(1 << 71) - 1}"):
+        _prime_factors((1 << 71) - 1)
+
+
+def test_miller_rabin_bases_reach_41():
+    # A strong pseudoprime to every prime base up to 37; base 41 exposes it.
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime((1 << 61) - 1)
+    assert _is_prime((1 << 31) - 1)
 
 
 def test_verify_order_rejects_nonpositive():
