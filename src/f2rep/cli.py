@@ -15,6 +15,7 @@ from functools import partial
 from .families import (
     FamilySpec,
     FamilyVerdict,
+    _admit,
     verify_family,
 )
 from .gf2poly import BitCapExceeded, F2Poly, parse_poly
@@ -110,9 +111,11 @@ def _cmd_family_range(args: argparse.Namespace) -> int:
         for variant in (1, 2)
         for reciprocal in (False, True)
     ]
+    # Every member is admitted before any runs, and verified before the first
+    # line, so a refused or failing member prints no partial table.
+    for spec in specs:
+        _admit(spec, args.allow_large_r)
     verify = partial(verify_family, allow_large_r=args.allow_large_r)
-    # Every member is verified before the first line, so a failing member
-    # prints no partial table.
     verdicts = list(_ordered_map(verify, specs, args.jobs))
     for v in verdicts:
         print(_family_line(v))

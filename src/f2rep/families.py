@@ -136,8 +136,9 @@ def h_closed_form(r: int, variant: int) -> F2Poly:
     """The family cofactor rebuilt from its closed form rather than by division.
 
     Both variants are an all-ones run xored with a sum of shifted binomial
-    blocks x^(stride*n) (1+x)^(n-1); the blocks are pairwise disjoint, which
-    is asserted while building.
+    blocks x^(stride*n) (1+x)^(n-1), summed by halving so that each bit is
+    copied once per level; the blocks are pairwise disjoint, which is
+    asserted at each join.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -146,11 +147,17 @@ def h_closed_form(r: int, variant: int) -> F2Poly:
     ensure_bits(4**r + 2**r + 2)
     two_r = 1 << r
     stride = two_r - 1 if variant == 1 else two_r
-    s = 0
-    for n in range(1, two_r):
-        shift = stride * n
-        assert s.bit_length() <= shift  # blocks must not overlap
-        s ^= one_plus_x_pow(n - 1).bits << shift
+
+    def blocks(lo: int, hi: int) -> int:
+        # Blocks n = lo .. hi - 1, shifted down by stride * lo.
+        if hi - lo == 1:
+            return one_plus_x_pow(lo - 1).bits
+        mid = (lo + hi) // 2
+        left = blocks(lo, mid)
+        assert left.bit_length() <= stride * (mid - lo)  # blocks must not overlap
+        return left ^ (blocks(mid, hi) << stride * (mid - lo))
+
+    s = blocks(1, two_r) << stride
     ones = (1 << (4**r - two_r)) - 1 if variant == 1 else (1 << 4**r) - 1
     return F2Poly(ones ^ s)
 
@@ -185,22 +192,27 @@ def odd_binomial_count(n: int) -> int:
     return 1 << n.bit_count()
 
 
-def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVerdict:
-    """Check one family member against its predictions.
-
-    Verifies that the predicted period divides (and whether it is the exact
-    order), that the measured cofactor counts match the predicted (c, d),
-    that the closed-form cofactor agrees with plain division (non-reciprocal
-    members only), and reports measured robustness.  r above
-    EXACT_ORDER_CEILING needs allow_large_r=True.
-    """
+def _admit(spec: FamilySpec, allow_large_r: bool) -> None:
+    """Refuse a member over the exact-order ceiling or over the bit cap."""
     if spec.r > EXACT_ORDER_CEILING and not allow_large_r:
         raise ValueError(
             f"r={spec.r} is above the exact-order ceiling {EXACT_ORDER_CEILING}; "
             "pass allow_large_r=True if you accept the 4^r time and memory cost"
         )
+    ensure_bits(family_prediction(spec).period + 8)
+
+
+def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVerdict:
+    """Check one family member against its predictions.
+
+    Verifies that the predicted period divides (and whether it is the exact
+    order), that the measured cofactor counts match the predicted (c, d),
+    that the closed-form cofactor agrees with the Newton-inverted cofactor
+    (non-reciprocal members only), and reports measured robustness.  r above
+    EXACT_ORDER_CEILING needs allow_large_r=True.
+    """
+    _admit(spec, allow_large_r)
     pred = family_prediction(spec)
-    ensure_bits(pred.period + 8)
     f = build(spec)
     check = verify_order_divides(f, pred.period)
     fstar = cofactor(f, pred.period)

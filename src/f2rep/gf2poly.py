@@ -91,7 +91,8 @@ def _square_int(a: int) -> int:
 
 
 # Below this quotient length the plain bit-at-a-time division wins; above it
-# the table-driven byte-at-a-time division keeps long divisions linear.
+# the table-driven byte-at-a-time division keeps long divisions linear.  Long
+# quotients now come from _modpow_x_int by family moduli of degree up to 4,098.
 _TABLE_QLEN_MIN = 256
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .gf2poly import F2Poly, _divrem_int, _gcd_int, _modpow_x_int, _square_int, ensure_bits
+from .gf2poly import F2Poly, _divrem_int, _gcd_int, _modpow_x_int, _mul_int, _square_int, ensure_bits
 
 __all__ = [
     "BetaReport",
@@ -171,6 +171,13 @@ def _is_prime(n: int) -> bool:
 def _prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n, ascending, memoized; ValueError when what
     is left after trial division cannot be proved prime."""
+    k = n.bit_length()
+    if n & (n + 1) == 0 and k > 2 and _prime_factors(k) == (k,):
+        s = 4  # Lucas-Lehmer: 2^k - 1 with k an odd prime is prime iff s ends at 0
+        for _ in range(k - 2):
+            s = (s * s - 2) % n
+        if s == 0:
+            return (n,)
     out, m, p = [], n, 2
     while p * p <= m and p <= _TRIAL_MAX:
         if m % p == 0:
@@ -203,18 +210,34 @@ def verify_order_divides(f: F2Poly, candidate: int) -> OrderCheck:
     return OrderCheck(divides=True, exact=exact)
 
 
+def _cofactor_int(fbits: int, N: int) -> int:
+    """(1 + x^N) / fbits for a period N >= deg fbits >= 1: the power series
+    1/fbits mod x^(N - deg + 1), by Newton's step g <- g(2 - fg), which is
+    g <- fg^2 over GF(2), doubling the precision (Sieveking 1972, Kung 1974)."""
+    L = N - fbits.bit_length() + 2
+    g = 1
+    for j in reversed(range((L - 1).bit_length())):
+        # One step per statement, so each input is freed before the next is built.
+        g = _square_int(g)
+        g = _mul_int(fbits, g)
+        g &= (1 << -(-L >> j)) - 1
+    return g
+
+
 def cofactor(f: F2Poly, N: int) -> F2Poly:
-    """(1 + x^N) / f by exact division; raises when N is not a period of f."""
+    """(1 + x^N) / f by Newton inversion; raises when N is not a period of f."""
     bits = f.bits
     if not bits & 1:
         raise ValueError("cofactor requires constant term 1")
     if N < 1:
         raise ValueError("period must be positive")
     ensure_bits(N + 1)
-    q, r = _divrem_int((1 << N) | 1, bits)
-    if r:
+    if bits == 1:
+        return F2Poly((1 << N) | 1)
+    # For 1 <= N < deg f, x^N is its own remainder, so this refuses it too.
+    if _modpow_x_int(N, bits) != 1:
         raise ValueError(f"not a period: the polynomial does not divide 1 + x^{N}")
-    return F2Poly(q)
+    return F2Poly(_cofactor_int(bits, N))
 
 
 def _stats(q: int, D: int, d: int) -> tuple[int, int, Fraction, bool, int, bool]:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
 
-from .gf2poly import _divrem_int, _text_from_int
-from .order_beta import _order_int, _stats
+from .gf2poly import _mul_int, _text_from_int
+from .order_beta import _cofactor_int, _order_int, _stats
 
 __all__ = [
     "ScanConfig",
@@ -128,8 +129,8 @@ def _record(n: int, order_bound: int | None) -> ScanRecord:
             ell1=None, ell0=None, gamma=None, robust=None, gap=None,
             bound_ok=None, status="degenerate" if n == 1 else "unresolved",
         )
-    q, r = _divrem_int((1 << D) | 1, n)
-    assert r == 0
+    q = _cofactor_int(n, D)
+    assert _mul_int(n, q) == (1 << D) | 1
     ones, zeros, gamma, robust, gap, bound_ok = _stats(q, D, d)
     return ScanRecord(
         n=n, poly=text, degree=d, order=D, order_exact=True,
@@ -155,13 +156,20 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     """fn over items, results in item order.
 
     jobs <= 1 runs in this process; otherwise a pool of `jobs` workers takes
-    one item at a time, so one costly item never shares a worker's chunk.
+    one item at a time, so one costly item never shares a worker's chunk,
+    and at most 8 * jobs items are in flight, so a lazy input is not drained.
     """
     if jobs <= 1:
         yield from map(fn, items)
         return
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(fn, items, chunksize=1)
+        pending: deque = deque()
+        for item in items:
+            if len(pending) == 8 * jobs:
+                yield pending.popleft().get()
+            pending.append(pool.apply_async(fn, (item,)))
+        while pending:
+            yield pending.popleft().get()
 
 
 def scan(
@@ -172,20 +180,18 @@ def scan(
 
     With jobs > 1 the index range splits into contiguous blocks handed to a
     process pool; block results merge back in order, so the output stream is
-    identical to a single-process run.
+    identical to a single-process run.  Blocks are made as they are needed.
     """
     stop = config.index_stop
-    blocks = [(lo, min(lo + _BLOCK, stop)) for lo in range(1, stop, _BLOCK)]
-    total = stop // 2
-    done = 0
-    tasks = [(config, lo, hi) for lo, hi in blocks]
+    starts = range(1, stop, _BLOCK)
+    tasks = ((config, lo, min(lo + _BLOCK, stop)) for lo in starts)
     results = _ordered_map(_scan_block, tasks, config.jobs)
-    for lo, hi in blocks:
+    for lo in starts:
         # Left unnamed, so a block's records are freed before the next block runs.
         yield from next(results)
-        done += (hi - lo + 1) // 2
         if progress is not None:
-            progress(done, total)
+            # Blocks start at odd indices, so [1, hi) holds hi // 2 of them.
+            progress(min(lo + _BLOCK, stop) // 2, stop // 2)
 
 
 def figure_data(index_max: int = 4096) -> Iterator[FigureRow]:

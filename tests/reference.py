@@ -1,7 +1,10 @@
 """Slow, simple reference implementations used only as test oracles.
 
-Everything works on plain sets of exponents (or direct recursion), so none
-of the bit-packed production code is involved.
+Nearly everything works on plain sets of exponents, plain int shifts or
+direct recursion, so none of the bit-packed production code is involved.
+The one exception is ref_cofactor, which keeps the exact long division the
+cofactor used to be taken with; that division kernel is itself checked
+against ref_divmod.
 """
 
 from __future__ import annotations
@@ -68,6 +71,39 @@ def ref_primes(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def ref_cofactor(fbits: int, N: int) -> int:
+    """(1 + x^N) / f by long division, which must leave no remainder."""
+    from f2rep.gf2poly import _divrem_int
+
+    q, r = _divrem_int((1 << N) | 1, fbits)
+    assert r == 0, "not a period"
+    return q
+
+
+def ref_series_inverse(fbits: int, L: int) -> int:
+    """1/f mod x^L for f(0) = 1, one coefficient at a time from the bottom."""
+    g, r = 0, 1  # r = 1 + f*g; its lowest set bit is the next term of g
+    for i in range(L):
+        if r >> i & 1:
+            g |= 1 << i
+            r ^= fbits << i
+    return g
+
+
+def ref_h_closed_form(r: int, variant: int) -> int:
+    """The family closed form, one shifted binomial block at a time."""
+    two_r = 1 << r
+    stride = two_r - 1 if variant == 1 else two_r
+    s, block = 0, 1  # block = (1 + x)^(n - 1)
+    for n in range(1, two_r):
+        shift = stride * n
+        assert s.bit_length() <= shift  # blocks must not overlap
+        s ^= block << shift
+        block ^= block << 1
+    ones = (1 << (4**r - two_r)) - 1 if variant == 1 else (1 << 4**r) - 1
+    return ones ^ s
 
 
 def ref_reciprocal(a: set[int]) -> set[int]:

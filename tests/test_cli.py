@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from f2rep import parse_poly
+from f2rep import cli, parse_poly
 from f2rep.cli import main
 
 
@@ -210,7 +210,12 @@ def test_bad_bit_cap_names_the_variable(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "poly,D",
-    [("x^39+x^4+1", (1 << 39) - 1), ("x^63+x+1", (1 << 63) - 1)],
+    [
+        ("x^39+x^4+1", (1 << 39) - 1),
+        ("x^63+x+1", (1 << 63) - 1),
+        ("x^89+x^38+1", (1 << 89) - 1),  # Mersenne prime orders
+        ("x^127+x+1", (1 << 127) - 1),
+    ],
 )
 def test_order_of_primitive_trinomials_past_the_scan(capsys, poly, D):
     assert run(capsys, "order", poly) == (0, f"{D}\n", "")
@@ -223,6 +228,16 @@ def test_order_that_needs_an_unfactorable_mersenne_number_fails_fast(capsys):
     assert time.perf_counter() - t0 < 2
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot factor {(1 << 71) - 1}")
+
+
+def test_family_range_over_the_bit_cap_fails_before_any_member(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "verify_family", lambda *a, **k: calls.append(a))
+    monkeypatch.setenv("F2REP_BIT_CAP", "20000")
+    code, out, err = run(capsys, "family", "range", "--r-max", "8")
+    assert (code, out, calls) == (1, "", [])
+    # r = 8, variant 1 is the first member over the cap.
+    assert err.startswith(f"error: operation needs about {4**8 - 1 + 8} coefficient bits")
 
 
 def test_parity_series_over_the_bit_cap_fails_fast(capsys, monkeypatch):

@@ -27,7 +27,7 @@ from f2rep import (
     verify_family,
 )
 
-from reference import ref_odd_binomials
+from reference import ref_h_closed_form, ref_odd_binomials
 
 
 @pytest.mark.parametrize(
@@ -108,6 +108,12 @@ def test_closed_form_equals_division_cofactor(r, variant):
     f = build_family(FamilySpec(r, variant))
     period = family_prediction(FamilySpec(r, variant)).period
     assert h_closed_form(r, variant) == cofactor(f, period)
+
+
+@pytest.mark.parametrize("r", range(1, 12))
+@pytest.mark.parametrize("variant", [1, 2])
+def test_closed_form_by_halving_matches_the_block_loop(r, variant):
+    assert h_closed_form(r, variant).bits == ref_h_closed_form(r, variant)
 
 
 @pytest.mark.parametrize("r", range(1, 9))

@@ -26,6 +26,8 @@ GOLDEN = {
         "54b59775c47701266ee1d567b34d66376e5f452687e439b680e96171d2e0ca03",
     ("scan", "--index-max", "4096", "--jobs", "2"):
         "93fdb16ae7f59dbbcdc1fe3748a321ba8e043010348905458b9f05c89cd8bb20",
+    ("family", "range", "--r-max", "12", "--allow-large-r"):
+        "99c4d00670694b6d8bd00f035fe10e2d10a958453bf05333243ae20942d0c26e",
     ("scan", "--preset", "order83"):
         "be87f0291de99c9bd0b3f6aa0022b4521814aca3f76fe14e6bfd9f0bbbcee1a4",
 }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from f2rep import (
 from f2rep.gf2poly import _modpow_x_int
 from f2rep.order_beta import (
     _ORDER_SCAN_MAX,
+    _cofactor_int,
     _is_prime,
     _order_factored_int,
     _order_int,
@@ -35,7 +37,14 @@ from f2rep.order_beta import (
 )
 
 from conftest import F31_STAR_EXPONENTS, F32_STAR_EXPONENTS
-from reference import ref_order, ref_primes
+from reference import (
+    bits_of,
+    ref_cofactor,
+    ref_mul,
+    ref_order,
+    ref_primes,
+    ref_series_inverse,
+)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +149,9 @@ def test_verify_order_divides(poly, candidate, divides, exact):
         ((1 << 39) - 1, (7, 79, 8191, 121369)),
         ((1 << 63) - 1, (7, 73, 127, 337, 92737, 649657)),
         (3 * ((1 << 61) - 1), (3, (1 << 61) - 1)),  # prime past the trial budget
+        ((1 << 11) - 1, (23, 89)),  # 11 is prime but 2^11 - 1 is not
+        ((1 << 89) - 1, ((1 << 89) - 1,)),  # Mersenne primes past Miller-Rabin
+        ((1 << 127) - 1, ((1 << 127) - 1,)),
     ],
 )
 def test_prime_factors(n, primes):
@@ -187,10 +199,44 @@ def test_cofactor_rejects_non_period(f31):
     with pytest.raises(ValueError) as exc:
         cofactor(f31, 62)
     assert "not a period" in str(exc.value)
+    for N in (1, 8):  # below the degree 9
+        with pytest.raises(ValueError, match="not a period"):
+            cofactor(f31, N)
     with pytest.raises(ValueError):
         cofactor(f31, 0)
     with pytest.raises(ValueError):
         cofactor(parse_poly("x^2 + x"), 3)
+
+
+def test_cofactor_of_the_constant_one():
+    assert cofactor(F2Poly(1), 5) == parse_poly("x^5 + 1")
+
+
+def test_newton_cofactor_matches_division_on_every_small_polynomial():
+    for f in range(3, 1 << 13, 2):
+        D = _order_int(f, None)
+        for N in (D, 2 * D):
+            assert _cofactor_int(f, N) == ref_cofactor(f, N), (f, N)
+
+
+# (x^2 + x + 1)^14: degree 28, order 3 * 16.
+_TRINOMIAL_POWER = bits_of(reduce(ref_mul, [{0, 1, 2}] * 14))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1 << 12, max_value=(1 << 28) - 1), st.integers(0, 3000))
+@example(1 << 27, 0)  # 1 + x^28 at its order 28
+@example(1 << 27, 28)  # ... and at 56
+@example(_TRINOMIAL_POWER >> 1, 20)  # at its order 48
+def test_newton_cofactor_is_the_series_inverse(high, extra):
+    # Degrees 13..28.  Any N >= deg f gives 1/f mod x^(N - deg f + 1), and at
+    # a period that is the cofactor.
+    f = (high << 1) | 1
+    N = f.bit_length() - 1 + extra
+    g = _cofactor_int(f, N)
+    assert g == ref_series_inverse(f, extra + 1)
+    if _modpow_x_int(N, f) == 1:
+        assert g == ref_cofactor(f, N)
 
 
 @settings(max_examples=60, deadline=None)

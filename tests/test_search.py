@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,14 @@ def test_progress_callback_counts_everything():
     list(scan(ScanConfig(index_max=10000, jobs=2), progress=lambda d, t: seen.append((d, t))))
     assert seen[-1] == (5000, 5000)
     assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_huge_scan_yields_its_first_record_at_once(jobs):
+    # 2^41 indices: building every block up front would not finish.
+    t0 = time.perf_counter()
+    records = scan(ScanConfig(degree_max=40, shape="trinomial", jobs=jobs))
+    first = next(records)
+    records.close()
+    assert time.perf_counter() - t0 < 1
+    assert (first.n, first.order) == (7, 3)
