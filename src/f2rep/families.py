@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf2poly import F2Poly, ensure_bits
-from .order_beta import _stats, cofactor, verify_order_divides
+from .order_beta import _cofactor_int, _stats, verify_order_divides
 
 __all__ = [
     "EXACT_ORDER_CEILING",
@@ -215,11 +215,14 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
     pred = family_prediction(spec)
     f = build(spec)
     check = verify_order_divides(f, pred.period)
-    fstar = cofactor(f, pred.period)
-    ones, zeros, gamma, robust, _, _ = _stats(fstar.bits, pred.period, f.degree)
+    if not check.divides:
+        raise ValueError(f"not a period: the polynomial does not divide 1 + x^{pred.period}")
+    # _admit has checked the bit cap, and the period check is done: no second modpow.
+    q = _cofactor_int(f.bits, pred.period)
+    ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), pred.period, f.degree)
     closed = None
     if not spec.reciprocal:
-        closed = h_closed_form(spec.r, spec.variant) == fstar
+        closed = h_closed_form(spec.r, spec.variant).bits == q
     return FamilyVerdict(
         spec=spec,
         period=pred.period,

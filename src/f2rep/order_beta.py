@@ -240,21 +240,20 @@ def cofactor(f: F2Poly, N: int) -> F2Poly:
     return F2Poly(_cofactor_int(bits, N))
 
 
-def _stats(q: int, D: int, d: int) -> tuple[int, int, Fraction, bool, int, bool]:
-    """(ell1, ell0, gamma, robust, gap, bound_ok) of the cofactor bits q over
-    the window D, for a polynomial of degree d.
+def _stats(ones: int, D: int, d: int) -> tuple[int, int, Fraction, bool, int, bool]:
+    """(ell1, ell0, gamma, robust, gap, bound_ok) of a cofactor with `ones`
+    one bits over the window D, for a polynomial of degree d.
 
     robust means the ones exceed the zeros by more than one; bound_ok is the
     integer-exact form gap^2 <= 2^d of the 2^(d/2) ceiling.
     """
-    ones = q.bit_count()
     zeros = D - ones
     gap = abs(ones - zeros)
     return ones, zeros, Fraction(ones, D), 2 * ones > D + 1, gap, gap * gap <= 1 << d
 
 
 def _beta_from(f: F2Poly, N: int, q: int, order_exact: bool) -> BetaReport:
-    ones, zeros, gamma, robust, _, _ = _stats(q, N, f.degree)
+    ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), N, f.degree)
     return BetaReport(
         poly=f,
         period=N,
@@ -301,5 +300,5 @@ def coordinate_gap_bound_check(f: F2Poly) -> GapCheck:
     """
     D = order(f)
     k = f.degree
-    *_, gap, ok = _stats(cofactor(f, D).bits, D, k)
+    *_, gap, ok = _stats(cofactor(f, D).bits.bit_count(), D, k)
     return GapCheck(gap=gap, bound=2.0 ** (k / 2), ok=ok)

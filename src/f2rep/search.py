@@ -20,9 +20,10 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, groupby, islice
 from typing import TextIO
 
-from .gf2poly import _mul_int, _text_from_int
+from .gf2poly import _mul_int, _reciprocal_int, _text_from_int, ensure_bits
 from .order_beta import _cofactor_int, _order_int, _stats
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 _SHAPES = ("all", "trinomial", "quadrinomial")
-_BLOCK = 4096
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -120,36 +121,53 @@ PRESETS: dict[str, ScanConfig] = {
 
 
 def _record(n: int, order_bound: int | None) -> ScanRecord:
-    text = _text_from_int(n)
-    d = n.bit_length() - 1
     D = None if n == 1 else _order_int(n, order_bound)
     if D is None:
-        return ScanRecord(
-            n=n, poly=text, degree=d, order=None, order_exact=None,
-            ell1=None, ell0=None, gamma=None, robust=None, gap=None,
-            bound_ok=None, status="degenerate" if n == 1 else "unresolved",
-        )
+        return _make_record(n, None, None)
+    ensure_bits(D + 1)
     q = _cofactor_int(n, D)
     assert _mul_int(n, q) == (1 << D) | 1
-    ones, zeros, gamma, robust, gap, bound_ok = _stats(q, D, d)
-    return ScanRecord(
-        n=n, poly=text, degree=d, order=D, order_exact=True,
-        ell1=ones, ell0=zeros, gamma=gamma,
-        robust=robust, gap=gap, bound_ok=bound_ok, status="ok",
-    )
+    return _make_record(n, D, q.bit_count())
 
 
-def _scan_block(task: tuple[ScanConfig, int, int]) -> list[ScanRecord]:
-    config, lo, hi = task
-    shape = config.shape
-    want = 3 if shape == "trinomial" else 4 if shape == "quadrinomial" else None
-    bound = config.order_bound
-    out = []
-    for n in range(lo | 1, hi, 2):
-        if want is not None and n.bit_count() != want:
-            continue
-        out.append(_record(n, bound))
-    return out
+def _make_record(n: int, D: int | None, ones: int | None) -> ScanRecord:
+    """The record of n from its order D (None if it has none) and cofactor one-count."""
+    d = n.bit_length() - 1
+    if D is None:  # the eight fields order .. bound_ok stay unset
+        status = "degenerate" if n == 1 else "unresolved"
+        return ScanRecord(n, _text_from_int(n), d, *[None] * 8, status)
+    # _stats gives ell1, ell0, gamma, robust, gap and bound_ok: the fields after order_exact.
+    return ScanRecord(n, _text_from_int(n), d, D, True, *_stats(ones, D, d), "ok")
+
+
+def _corpus(config: ScanConfig) -> Iterator[int]:
+    """The odd indices of the extent, ascending.  A shape is listed directly:
+    per degree d, 1 + x^d plus each choice of its middle exponents."""
+    stop = config.index_stop
+    if config.shape == "all":
+        yield from range(1, stop, 2)
+        return
+    middles = 1 if config.shape == "trinomial" else 2
+    for d in range(2, stop.bit_length()):
+        ends = (1 << d) | 1
+        for n in sorted(ends | sum(1 << e for e in c) for c in combinations(range(1, d), middles)):
+            if n >= stop:
+                return
+            yield n
+
+
+def _canonical_chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...]]]:
+    """The members n <= rev n of the corpus, in chunks of at most _CHUNK of one
+    degree, so that a chunk never waits on orders of a higher degree."""
+    canonical = (n for n in _corpus(config) if _reciprocal_int(n) >= n)
+    for _, same_degree in groupby(canonical, int.bit_length):
+        while chunk := tuple(islice(same_degree, _CHUNK)):
+            yield config.order_bound, chunk
+
+
+def _scan_chunk(task: tuple[int | None, tuple[int, ...]]) -> list[ScanRecord]:
+    bound, members = task
+    return [_record(n, bound) for n in members]
 
 
 def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
@@ -176,22 +194,32 @@ def scan(
     config: ScanConfig,
     progress: Callable[[int, int], None] | None = None,
 ) -> Iterator[ScanRecord]:
-    """Records for every odd index passing the filters, ordered by index.
-
-    With jobs > 1 the index range splits into contiguous blocks handed to a
-    process pool; block results merge back in order, so the output stream is
-    identical to a single-process run.  Blocks are made as they are needed.
-    """
+    """Records for every odd index of the corpus, ordered by index, the same
+    for every worker count.  f and rev f share the order and the cofactor
+    counts, so only the member n <= rev n of each pair is computed, in lazy
+    chunks (on a pool when jobs > 1); the other takes its (order, ell1)."""
     stop = config.index_stop
-    starts = range(1, stop, _BLOCK)
-    tasks = ((config, lo, min(lo + _BLOCK, stop)) for lo in starts)
-    results = _ordered_map(_scan_block, tasks, config.jobs)
-    for lo in starts:
-        # Left unnamed, so a block's records are freed before the next block runs.
-        yield from next(results)
-        if progress is not None:
-            # Blocks start at odd indices, so [1, hi) holds hi // 2 of them.
-            progress(min(lo + _BLOCK, stop) // 2, stop // 2)
+    results = _ordered_map(_scan_chunk, _canonical_chunks(config), config.jobs)
+    computed: Iterator[ScanRecord] = iter(())
+    partners: dict[int, tuple[int | None, int | None]] = {}
+    for n in _corpus(config):
+        m = _reciprocal_int(n)
+        if m < n:
+            # rev f * rev f* = rev(1 + x^D) = 1 + x^D, and f | 1 + x^k iff rev f
+            # does: the assert in _record on the partner proves this record too.
+            yield _make_record(n, *partners.pop(n))
+            continue
+        rec = next(computed, None)
+        if rec is None:
+            if progress is not None:
+                progress(n // 2, stop // 2)
+            computed = iter(next(results))
+            rec = next(computed)
+        if n < m < stop:
+            partners[m] = (rec.order, rec.ell1)
+        yield rec
+    if progress is not None:
+        progress(stop // 2, stop // 2)
 
 
 def figure_data(index_max: int = 4096) -> Iterator[FigureRow]:
@@ -202,14 +230,8 @@ def figure_data(index_max: int = 4096) -> Iterator[FigureRow]:
     """
     if index_max < 5:
         raise ValueError("index_max must be at least 5")
-    return _figure_rows(index_max)
-
-
-def _figure_rows(index_max: int) -> Iterator[FigureRow]:
-    for n in range(5, index_max, 2):
-        rec = _record(n, None)
-        g = rec.gamma
-        yield FigureRow(n=n, gamma=g, decimal=g.numerator / g.denominator)
+    recs = (rec for rec in scan(ScanConfig(index_max=index_max)) if rec.n >= 5)
+    return (FigureRow(r.n, r.gamma, r.gamma.numerator / r.gamma.denominator) for r in recs)
 
 
 def gap_census(

@@ -248,6 +248,16 @@ def test_parity_series_over_the_bit_cap_fails_fast(capsys, monkeypatch):
     assert err.startswith("error: operation needs about 1001 coefficient bits but the cap is 1000")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_over_the_bit_cap_fails_with_the_cap_message(capsys, monkeypatch, jobs):
+    # Degree 10 is the first with an order D past 999, so a cofactor of D + 1 bits.
+    monkeypatch.setenv("F2REP_BIT_CAP", "1000")
+    code, _, err = run(capsys, "scan", "--degree-max", "12", "--jobs", jobs)
+    assert code == 1
+    assert err.startswith("error: operation needs about")
+    assert err.endswith("coefficient bits but the cap is 1000 (set F2REP_BIT_CAP to raise it)\n")
+
+
 def test_unknown_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["order"])  # missing the polynomial

@@ -26,6 +26,7 @@ from f2rep import (
     reciprocal,
     verify_family,
 )
+from f2rep import families
 
 from reference import ref_h_closed_form, ref_odd_binomials
 
@@ -217,6 +218,14 @@ def test_large_r_needs_flag():
     with pytest.raises(ValueError) as exc:
         verify_family(FamilySpec(EXACT_ORDER_CEILING + 1, 1))
     assert "allow_large_r" in str(exc.value)
+
+
+def test_verify_family_refuses_a_predicted_period_that_is_not_one(monkeypatch):
+    true = families.family_prediction(FamilySpec(3, 1))
+    wrong = families.FamilyPrediction(period=true.period + 1, c=true.c, d=true.d)
+    monkeypatch.setattr(families, "family_prediction", lambda spec: wrong)
+    with pytest.raises(ValueError, match=f"not a period: the polynomial does not divide 1 \\+ x\\^{wrong.period}"):
+        verify_family(FamilySpec(3, 1))
 
 
 def test_reciprocal_member_shares_beta():

@@ -30,6 +30,8 @@ GOLDEN = {
         "99c4d00670694b6d8bd00f035fe10e2d10a958453bf05333243ae20942d0c26e",
     ("scan", "--preset", "order83"):
         "be87f0291de99c9bd0b3f6aa0022b4521814aca3f76fe14e6bfd9f0bbbcee1a4",
+    ("scan", "--preset", "degree14"):
+        "ce97bec6a36f3231ace469b74a46810e5ade1d8200bba9200ce59d725026e488",
 }
 
 

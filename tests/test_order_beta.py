@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from f2rep import (
@@ -25,7 +25,7 @@ from f2rep import (
     verify_order_divides,
 )
 
-from f2rep.gf2poly import _modpow_x_int
+from f2rep.gf2poly import _modpow_x_int, _mul_int, _reciprocal_int
 from f2rep.order_beta import (
     _ORDER_SCAN_MAX,
     _cofactor_int,
@@ -237,6 +237,23 @@ def test_newton_cofactor_is_the_series_inverse(high, extra):
     assert g == ref_series_inverse(f, extra + 1)
     if _modpow_x_int(N, f) == 1:
         assert g == ref_cofactor(f, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1 << 12, max_value=(1 << 20) - 1),
+    st.integers(min_value=0, max_value=(1 << 8) - 1),
+)
+@example((1 << 13) | (1 << 2), 0)  # x^14 + x^3 + 1, order 5115
+def test_reciprocal_has_the_same_order_and_the_reversed_cofactor(g_high, h_high):
+    # Degrees 13..28 as f = g h, deg g in 13..20 and deg h <= 8, so that most
+    # orders stay below 2^22 and the cofactors are quick to take.
+    f = _mul_int((g_high << 1) | 1, (h_high << 1) | 1)
+    D = _order_int(f, 1 << 22)
+    assume(D is not None)
+    rev = _reciprocal_int(f)
+    assert _order_int(rev, 1 << 22) == D
+    assert _cofactor_int(rev, D) == _reciprocal_int(_cofactor_int(f, D))
 
 
 @settings(max_examples=60, deadline=None)

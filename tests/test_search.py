@@ -20,6 +20,15 @@ from f2rep import (
     write_scan_csv,
     write_scan_jsonl,
 )
+from f2rep.search import _corpus, _record
+
+_WEIGHT = {"all": None, "trinomial": 3, "quadrinomial": 4}
+
+
+def _old_filter(config: ScanConfig) -> list[int]:
+    """The corpus as the scan used to list it: every odd index, filtered by weight."""
+    w = _WEIGHT[config.shape]
+    return [n for n in range(1, config.index_stop, 2) if w is None or n.bit_count() == w]
 
 
 def run(config: ScanConfig) -> list:
@@ -226,3 +235,27 @@ def test_huge_scan_yields_its_first_record_at_once(jobs):
     records.close()
     assert time.perf_counter() - t0 < 1
     assert (first.n, first.order) == (7, 3)
+
+
+@pytest.mark.parametrize("shape", list(_WEIGHT))
+@pytest.mark.parametrize("extent", [{"degree_max": 16}, {"index_max": 40000}, {"index_max": 4097}])
+def test_corpus_lists_what_the_weight_filter_kept(shape, extent):
+    config = ScanConfig(shape=shape, **extent)
+    assert list(_corpus(config)) == _old_filter(config)
+
+
+# index_max 3000 and 4097 cut a degree slice, so some partners lie past the stop.
+@pytest.mark.parametrize("shape", list(_WEIGHT))
+@pytest.mark.parametrize(
+    "extent,bound,jobs",
+    [
+        ({"degree_max": 12}, None, 1),
+        ({"index_max": 3000}, None, 1),
+        ({"index_max": 4097}, None, 1),
+        ({"degree_max": 12}, 83, 2),
+        ({"index_max": 3000}, 83, 2),
+    ],
+)
+def test_paired_scan_matches_a_record_per_index(shape, extent, bound, jobs):
+    config = ScanConfig(shape=shape, order_bound=bound, jobs=jobs, **extent)
+    assert run(config) == [_record(n, bound) for n in _old_filter(config)]
