@@ -105,6 +105,10 @@ def _cmd_family_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family_range(args: argparse.Namespace) -> int:
+    if args.r_max < 1:
+        raise ValueError("r_max must be >= 1")
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     specs = [
         FamilySpec(r=r, variant=variant, reciprocal=reciprocal)
         for r in range(1, args.r_max + 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf2poly import F2Poly, ensure_bits
-from .order_beta import _cofactor_int, _stats, verify_order_divides
+from .order_beta import _exact, _stats, cofactor
 
 __all__ = [
     "EXACT_ORDER_CEILING",
@@ -95,6 +95,14 @@ def build(spec: FamilySpec) -> F2Poly:
     return F2Poly.from_exponents(exps)
 
 
+def _doubling_product(a: int, b: int, m: int) -> int:
+    """prod_{j<m} (1 + x^(2^j a) + x^(2^j b)), one shift-xor per factor."""
+    acc = 1
+    for j in range(m):
+        acc = acc ^ (acc << (a << j)) ^ (acc << (b << j))
+    return acc
+
+
 def g_product(r: int, variant: int) -> F2Poly:
     """Literal evaluation of the doubling product behind the period identity.
 
@@ -108,9 +116,7 @@ def g_product(r: int, variant: int) -> F2Poly:
         raise ValueError("variant must be 1 or 2")
     ensure_bits(4**r + 1)
     a, b = (2**r - 1, 2**r) if variant == 1 else (2**r, 2**r + 1)
-    acc = 1
-    for j in range(r):
-        acc = acc ^ (acc << (a << j)) ^ (acc << (b << j))
+    acc = _doubling_product(a, b, r)
     if variant == 1:
         acc ^= 1 << (4**r - 2**r)
     return F2Poly(acc)
@@ -170,9 +176,7 @@ def ab_lemma_check(a: int, b: int, m: int) -> bool:
     if m < 1:
         raise ValueError("m must be >= 1")
     ensure_bits((b << m) + 1)
-    acc = 1
-    for j in range(m):
-        acc = acc ^ (acc << (a << j)) ^ (acc << (b << j))
+    acc = _doubling_product(a, b, m)
     lhs = acc ^ (acc << a) ^ (acc << b)
     rhs = 1 | (1 << (a << m)) | (1 << (b << m))
     return lhs == rhs
@@ -214,11 +218,7 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
     _admit(spec, allow_large_r)
     pred = family_prediction(spec)
     f = build(spec)
-    check = verify_order_divides(f, pred.period)
-    if not check.divides:
-        raise ValueError(f"not a period: the polynomial does not divide 1 + x^{pred.period}")
-    # _admit has checked the bit cap, and the period check is done: no second modpow.
-    q = _cofactor_int(f.bits, pred.period)
+    q = cofactor(f, pred.period).bits  # raises unless the predicted period is one
     ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), pred.period, f.degree)
     closed = None
     if not spec.reciprocal:
@@ -226,8 +226,8 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
     return FamilyVerdict(
         spec=spec,
         period=pred.period,
-        period_divides=check.divides,
-        order_exact=check.exact,
+        period_divides=True,
+        order_exact=_exact(q, pred.period),
         beta=(ones, zeros),
         gamma=gamma,
         matches_prediction=(ones, zeros) == (pred.c, pred.d),

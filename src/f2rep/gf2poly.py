@@ -90,88 +90,21 @@ def _square_int(a: int) -> int:
     return int.from_bytes(out, "little")
 
 
-# Below this quotient length the plain bit-at-a-time division wins; above it
-# the table-driven byte-at-a-time division keeps long divisions linear.  Long
-# quotients now come from _modpow_x_int by family moduli of degree up to 4,098.
-_TABLE_QLEN_MIN = 256
-
-
-def _divrem_school(a: int, b: int, want_q: bool) -> tuple[int, int]:
-    db = b.bit_length() - 1
-    q = 0
-    i = a.bit_length() - 1 - db
-    shifted = b << i
-    while i >= 0:
-        if (a >> (db + i)) & 1:
-            a ^= shifted
-            if want_q:
-                q |= 1 << i
-        shifted >>= 1
-        i -= 1
-    return q, a
-
-
-def _chunk_tables(b: int) -> tuple[list[int], list[int]]:
-    """Remainder and quotient of h * x^deg(b) by b for every byte h."""
-    d = b.bit_length() - 1
-    t, q = b ^ (1 << d), 1
-    ts, qs = [t], [q]
-    for _ in range(7):
-        t <<= 1
-        q <<= 1
-        if (t >> d) & 1:
-            t ^= b
-            q |= 1
-        ts.append(t)
-        qs.append(q)
-    T = [0] * 256
-    Q = [0] * 256
-    for h in range(1, 256):
-        i = (h & -h).bit_length() - 1
-        rest = h & (h - 1)
-        T[h] = T[rest] ^ ts[i]
-        Q[h] = Q[rest] ^ qs[i]
-    return T, Q
-
-
-def _divrem_table(a: int, b: int, want_q: bool) -> tuple[int, int]:
-    d = b.bit_length() - 1
-    mask = (1 << d) - 1
-    T, Q = _chunk_tables(b)
-    n = (a.bit_length() + 7) // 8
-    data = a.to_bytes(n, "big")
-    r = 0
-    if not want_q:
-        for byte in data:
-            r = ((r << 8) | byte)
-            h = r >> d
-            r = (r & mask) ^ T[h]
-        return 0, r
-    qbytes = bytearray(n)
-    j = 0
-    for byte in data:
-        r = ((r << 8) | byte)
-        h = r >> d
-        r = (r & mask) ^ T[h]
-        qbytes[j] = Q[h]
-        j += 1
-    return int.from_bytes(qbytes, "big"), r
-
-
 def _divrem_int(a: int, b: int, want_q: bool = True) -> tuple[int, int]:
-    """Quotient and remainder of a by b; want_q False skips building the
-    quotient, and then only the remainder is meaningful."""
+    """Quotient and remainder of a by b, clearing the leading bit of a with a
+    shifted b until deg a < deg b; want_q False skips building the quotient,
+    and then only the remainder is meaningful."""
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
     if b == 1:
         return a, 0
-    da = a.bit_length() - 1
-    db = b.bit_length() - 1
-    if da < db:
-        return 0, a
-    if da - db < _TABLE_QLEN_MIN:
-        return _divrem_school(a, b, want_q)
-    return _divrem_table(a, b, want_q)
+    db = b.bit_length()
+    q = 0
+    while (i := a.bit_length() - db) >= 0:
+        a ^= b << i
+        if want_q:
+            q |= 1 << i
+    return q, a
 
 
 def _modpow_x_int(e: int, m: int) -> int:

@@ -210,18 +210,35 @@ def verify_order_divides(f: F2Poly, candidate: int) -> OrderCheck:
     return OrderCheck(divides=True, exact=exact)
 
 
-def _cofactor_int(fbits: int, N: int) -> int:
-    """(1 + x^N) / fbits for a period N >= deg fbits >= 1: the power series
-    1/fbits mod x^(N - deg + 1), by Newton's step g <- g(2 - fg), which is
-    g <- fg^2 over GF(2), doubling the precision (Sieveking 1972, Kung 1974)."""
+def _cofactor_int(fbits: int, N: int) -> int | None:
+    """(1 + x^N) / fbits for deg fbits >= 1, or None when fbits does not
+    divide 1 + x^N.  The quotient is the power series 1/fbits mod
+    x^(N - deg + 1), by Newton's step g <- g(2 - fg), which is g <- fg^2 over
+    GF(2), doubling the precision (Sieveking 1972, Kung 1974); one product
+    then proves it, and with it that N is a period."""
     L = N - fbits.bit_length() + 2
+    if L < 1:
+        return None
     g = 1
     for j in reversed(range((L - 1).bit_length())):
         # One step per statement, so each input is freed before the next is built.
         g = _square_int(g)
         g = _mul_int(fbits, g)
         g &= (1 << -(-L >> j)) - 1
-    return g
+    return g if _mul_int(fbits, g) == (1 << N) | 1 else None
+
+
+def _exact(q: int, N: int) -> bool:
+    """Is N, a period with cofactor q = (1 + x^N)/f, the least period of f?
+    For a prime p | N and M = N/p, f divides 1 + x^M exactly when q repeats
+    with period M, that is when q ^ (q >> M) has no bit below N - M."""
+    for p in _prime_factors(N):
+        M = N // p
+        x = q ^ (q >> M)
+        k = N - M
+        if x >> k << k == x:
+            return False
+    return True
 
 
 def cofactor(f: F2Poly, N: int) -> F2Poly:
@@ -234,10 +251,10 @@ def cofactor(f: F2Poly, N: int) -> F2Poly:
     ensure_bits(N + 1)
     if bits == 1:
         return F2Poly((1 << N) | 1)
-    # For 1 <= N < deg f, x^N is its own remainder, so this refuses it too.
-    if _modpow_x_int(N, bits) != 1:
+    q = _cofactor_int(bits, N)
+    if q is None:
         raise ValueError(f"not a period: the polynomial does not divide 1 + x^{N}")
-    return F2Poly(_cofactor_int(bits, N))
+    return F2Poly(q)
 
 
 def _stats(ones: int, D: int, d: int) -> tuple[int, int, Fraction, bool, int, bool]:
@@ -273,18 +290,14 @@ def beta(f: F2Poly) -> BetaReport:
 def beta_N(f: F2Poly, N: int) -> BetaReport:
     """Cofactor statistics at an arbitrary period multiple N.
 
-    N is checked to actually be a period (x^N = 1 mod f); order_exact records
+    The cofactor proves N a period (x^N = 1 mod f); order_exact records
     whether it is the least one.  Both counts scale linearly in N/order, so
     gamma is unchanged by the choice of window.  The cofactor is taken before
     the exactness check, so an N over the bit cap fails before N is factored.
     """
-    bits = _require_order_domain(f)
-    if N < 1:
-        raise ValueError("period must be positive")
-    if _modpow_x_int(N, bits) != 1:
-        raise ValueError(f"not a period: x^{N} != 1 modulo the polynomial")
+    _require_order_domain(f)
     q = cofactor(f, N).bits
-    return _beta_from(f, N, q, verify_order_divides(f, N).exact)
+    return _beta_from(f, N, q, _exact(q, N))
 
 
 def is_robust(f: F2Poly) -> bool:

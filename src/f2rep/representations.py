@@ -25,7 +25,6 @@ __all__ = [
     "phi",
     "count_representations",
     "parity_series",
-    "parity_series_via_cofactor",
     "parity_profile",
     "stern",
     "diatomic_row",
@@ -161,18 +160,6 @@ def parity_series(A: DigitSet, N: int) -> list[int]:
             acc ^= bits[n - a]
         bits[n] = acc
     return bits
-
-
-def parity_series_via_cofactor(A: DigitSet, N: int) -> list[int]:
-    """The same stream rebuilt by tiling the cofactor bits; cross-check path."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    prof = parity_profile(A)
-    block = [0] * prof.period
-    for e in prof.odd_residues:
-        block[e] = 1
-    reps = -(-N // prof.period) if N else 0
-    return (block * reps)[:N]
 
 
 def parity_profile(A: DigitSet) -> ParityProfile:

@@ -2,9 +2,10 @@
 
 Nearly everything works on plain sets of exponents, plain int shifts or
 direct recursion, so none of the bit-packed production code is involved.
-The one exception is ref_cofactor, which keeps the exact long division the
-cofactor used to be taken with; that division kernel is itself checked
-against ref_divmod.
+Two exceptions build on f2rep.  ref_cofactor keeps the exact long division
+the cofactor used to be taken with; that division kernel is itself checked
+against ref_divmod.  ref_parity_series_via_cofactor tiles the cofactor of
+parity_profile, a second route to the stream that parity_series computes.
 """
 
 from __future__ import annotations
@@ -82,14 +83,17 @@ def ref_cofactor(fbits: int, N: int) -> int:
     return q
 
 
-def ref_series_inverse(fbits: int, L: int) -> int:
-    """1/f mod x^L for f(0) = 1, one coefficient at a time from the bottom."""
-    g, r = 0, 1  # r = 1 + f*g; its lowest set bit is the next term of g
-    for i in range(L):
-        if r >> i & 1:
-            g |= 1 << i
-            r ^= fbits << i
-    return g
+def ref_parity_series_via_cofactor(A, N: int) -> list[int]:
+    """The first N count parities of digit set A, rebuilt by tiling the
+    cofactor bits of its parity profile."""
+    from f2rep import parity_profile
+
+    prof = parity_profile(A)
+    block = [0] * prof.period
+    for e in prof.odd_residues:
+        block[e] = 1
+    reps = -(-N // prof.period) if N else 0
+    return (block * reps)[:N]
 
 
 def ref_h_closed_form(r: int, variant: int) -> int:

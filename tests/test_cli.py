@@ -183,6 +183,7 @@ def test_gapcheck_lines(capsys):
         (("cofactor", "@643", "--period", "62"), "not a period"),
         (("repr", "--set", "{1,2}", "--n", "4"), "must contain 0"),
         (("repr", "--set", "{0,1,q}", "--n", "4"), "bad digit 'q'"),
+        (("beta", "@643", "--period", "64"), "not a period: the polynomial does not divide 1 + x^64"),
     ],
 )
 def test_errors_name_the_problem(capsys, argv, needle):
@@ -238,6 +239,22 @@ def test_family_range_over_the_bit_cap_fails_before_any_member(capsys, monkeypat
     assert (code, out, calls) == (1, "", [])
     # r = 8, variant 1 is the first member over the cap.
     assert err.startswith(f"error: operation needs about {4**8 - 1 + 8} coefficient bits")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--jobs", "0"), "jobs must be >= 1"),
+        (("--jobs", "-2"), "jobs must be >= 1"),
+        (("--r-max", "0"), "r_max must be >= 1"),
+        (("--r-max", "-1"), "r_max must be >= 1"),
+    ],
+)
+def test_family_range_refuses_an_empty_range_or_no_workers(capsys, monkeypatch, argv, message):
+    calls = []
+    monkeypatch.setattr(cli, "verify_family", lambda *a, **k: calls.append(a))
+    assert run(capsys, "family", "range", *argv) == (1, "", f"error: {message}\n")
+    assert calls == []
 
 
 def test_parity_series_over_the_bit_cap_fails_fast(capsys, monkeypatch):

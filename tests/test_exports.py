@@ -13,10 +13,9 @@ PUBLIC = {
     "count_representations", "diatomic_row", "divrem", "ell0", "ell1", "ensure_bits",
     "family_prediction", "figure_data", "from_index", "g_product", "gap_census",
     "glaisher_sum", "h_closed_form", "is_robust", "modpow_x", "mul", "odd_binomial_count",
-    "one_plus_x_pow", "order", "parity_profile", "parity_series",
-    "parity_series_via_cofactor", "parse_poly", "phi", "reciprocal", "scan", "stern",
-    "verify_family", "verify_order_divides", "write_figure_csv", "write_scan_csv",
-    "write_scan_jsonl",
+    "one_plus_x_pow", "order", "parity_profile", "parity_series", "parse_poly", "phi",
+    "reciprocal", "scan", "stern", "verify_family", "verify_order_divides",
+    "write_figure_csv", "write_scan_csv", "write_scan_jsonl",
 }
 
 

@@ -18,7 +18,7 @@ from f2rep import (
     parse_poly,
     reciprocal,
 )
-from f2rep.gf2poly import _divrem_int, _divrem_school, _divrem_table, ensure_bits
+from f2rep.gf2poly import _divrem_int, _mul_int, ensure_bits
 
 from reference import bits_of, ref_divmod, ref_mul, ref_reciprocal, ref_xpow_mod
 
@@ -239,14 +239,13 @@ def test_division_identity(a, b):
     st.integers(min_value=1 << 900, max_value=(1 << 1400) - 1),
     st.integers(min_value=2, max_value=(1 << 40) - 1),
 )
-# Quotient degrees 255 and 256 sit on either side of the kernel crossover.
 @example((1 << (39 + 255)) | 0xF00D, (1 << 39) | 0x53)
 @example((1 << (39 + 256)) | 0xF00D, (1 << 39) | 0x53)
-def test_school_and_table_division_agree(a, b):
-    # Quotients this long take the byte-table path; both kernels must match.
-    q, r = _divrem_school(a, b, True)
-    assert _divrem_table(a, b, True) == (q, r) == _divrem_int(a, b)
-    assert _divrem_table(a, b, False)[1] == _divrem_school(a, b, False)[1] == r
+def test_long_quotient_division_multiplies_back(a, b):
+    # Quotients of up to 1,400 bits, checked by multiplying back.
+    q, r = _divrem_int(a, b)
+    assert _mul_int(b, q) ^ r == a
+    assert r.bit_length() < b.bit_length()
     assert _divrem_int(a, b, False)[1] == r
 
 

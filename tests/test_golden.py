@@ -1,8 +1,9 @@
 """Golden digests: the full output bytes of the long CLI runs are fixed.
 
 Each digest is the sha256 of everything one `f2rep` command writes to
-stdout.  A refactor that changes a single byte of a CSV row, a family line
-or a figure value fails here, whatever the unit tests still accept.
+stdout.  A refactor that changes a single byte of a CSV row, a family line,
+a figure value or a one-line answer fails here, whatever the unit tests
+still accept.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ GOLDEN = {
         "be87f0291de99c9bd0b3f6aa0022b4521814aca3f76fe14e6bfd9f0bbbcee1a4",
     ("scan", "--preset", "degree14"):
         "ce97bec6a36f3231ace469b74a46810e5ade1d8200bba9200ce59d725026e488",
+    ("beta", "@643", "--period", "126"):
+        "2b303f4fd09f9f4d3184462267f82670df64845225a56ea00495f11d946be503",
+    ("cofactor", "x^10+x^8+x+1", "--format", "hex"):
+        "66ce15f9409136e2d6bc726dfc432571a8c6c901824eac0c84aac4595152a250",
+    ("parity", "--set", "{0,1,7,9}"):
+        "bcc342678a40c104e769c85f2f2dfd0f6fecd5756709ca17f414fd609df6cfb5",
 }
 
 

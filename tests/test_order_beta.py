@@ -29,6 +29,7 @@ from f2rep.gf2poly import _modpow_x_int, _mul_int, _reciprocal_int
 from f2rep.order_beta import (
     _ORDER_SCAN_MAX,
     _cofactor_int,
+    _exact,
     _is_prime,
     _order_factored_int,
     _order_int,
@@ -43,7 +44,6 @@ from reference import (
     ref_mul,
     ref_order,
     ref_primes,
-    ref_series_inverse,
 )
 
 
@@ -217,6 +217,20 @@ def test_newton_cofactor_matches_division_on_every_small_polynomial():
         D = _order_int(f, None)
         for N in (D, 2 * D):
             assert _cofactor_int(f, N) == ref_cofactor(f, N), (f, N)
+        if D > 1:  # x + 1 alone has order 1, which divides every N
+            # Next to the order, and below the degree: no period, no cofactor.
+            for N in (D - 1, D + 1, f.bit_length() - 2):
+                assert _cofactor_int(f, N) is None, (f, N)
+    assert _cofactor_int(3, 0) is None
+
+
+def test_exact_matches_verify_order_divides_on_every_small_polynomial():
+    for f in range(3, 1 << 13, 2):
+        D = _order_int(f, None)
+        for k in (1, 2, 3, 4, 6):
+            N = k * D
+            q = _cofactor_int(f, N)
+            assert _exact(q, N) == verify_order_divides(F2Poly(f), N).exact, (f, N)
 
 
 # (x^2 + x + 1)^14: degree 28, order 3 * 16.
@@ -228,15 +242,13 @@ _TRINOMIAL_POWER = bits_of(reduce(ref_mul, [{0, 1, 2}] * 14))
 @example(1 << 27, 0)  # 1 + x^28 at its order 28
 @example(1 << 27, 28)  # ... and at 56
 @example(_TRINOMIAL_POWER >> 1, 20)  # at its order 48
-def test_newton_cofactor_is_the_series_inverse(high, extra):
-    # Degrees 13..28.  Any N >= deg f gives 1/f mod x^(N - deg f + 1), and at
-    # a period that is the cofactor.
+def test_newton_cofactor_is_the_quotient_or_none(high, extra):
+    # Degrees 13..28.  At a period N the kernel gives the exact quotient of
+    # 1 + x^N by f; anywhere else its product check refuses the series.
     f = (high << 1) | 1
     N = f.bit_length() - 1 + extra
-    g = _cofactor_int(f, N)
-    assert g == ref_series_inverse(f, extra + 1)
-    if _modpow_x_int(N, f) == 1:
-        assert g == ref_cofactor(f, N)
+    expected = ref_cofactor(f, N) if _modpow_x_int(N, f) == 1 else None
+    assert _cofactor_int(f, N) == expected
 
 
 @settings(max_examples=60, deadline=None)
