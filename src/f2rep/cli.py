@@ -89,9 +89,10 @@ def _cmd_cofactor(args: argparse.Namespace) -> int:
 def _family_line(v: FamilyVerdict) -> str:
     cf = "skipped" if v.closed_form_matches is None else _flag(v.closed_form_matches)
     s = v.spec
+    # divides is always true: verify_family raises unless the period divides.
     return (
         f"r={s.r} variant={s.variant} reciprocal={_flag(s.reciprocal)} "
-        f"period={v.period} divides={_flag(v.period_divides)} "
+        f"period={v.period} divides=true "
         f"exact={_flag(v.order_exact)} beta=({v.beta[0]},{v.beta[1]}) "
         f"gamma={v.gamma} prediction={_flag(v.matches_prediction)} "
         f"closed_form={cf} robust={_flag(v.robust)}"
@@ -109,16 +110,16 @@ def _cmd_family_range(args: argparse.Namespace) -> int:
         raise ValueError("r_max must be >= 1")
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    specs = [
-        FamilySpec(r=r, variant=variant, reciprocal=reciprocal)
-        for r in range(1, args.r_max + 1)
-        for variant in (1, 2)
-        for reciprocal in (False, True)
-    ]
-    # Every member is admitted before any runs, and verified before the first
-    # line, so a refused or failing member prints no partial table.
-    for spec in specs:
-        _admit(spec, args.allow_large_r)
+    # Every member is admitted as it is made, in r order, before any runs, and
+    # verified before the first line, so a refused or failing member prints no
+    # partial table and a huge r_max stops at its first refused member.
+    specs = []
+    for r in range(1, args.r_max + 1):
+        for variant in (1, 2):
+            for reciprocal in (False, True):
+                spec = FamilySpec(r=r, variant=variant, reciprocal=reciprocal)
+                _admit(spec, args.allow_large_r)
+                specs.append(spec)
     verify = partial(verify_family, allow_large_r=args.allow_large_r)
     verdicts = list(_ordered_map(verify, specs, args.jobs))
     for v in verdicts:
@@ -181,8 +182,9 @@ def _cmd_parity(args: argparse.Namespace) -> int:
         return 0
     prof = parity_profile(A)
     residues = ",".join(map(str, prof.odd_residues))
+    # order_exact is always true: the profile's period is order(phi).
     print(
-        f"period={prof.period} order_exact={_flag(prof.order_exact)} "
+        f"period={prof.period} order_exact=true "
         f"odd_count={len(prof.odd_residues)} odd_residues={{{residues}}}"
     )
     return 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2poly import F2Poly, ensure_bits
+from .gf2poly import BitCapExceeded, F2Poly, bit_cap, ensure_bits
 from .order_beta import _exact, _stats, cofactor
 
 __all__ = [
@@ -69,7 +69,6 @@ class FamilyPrediction:
 class FamilyVerdict:
     spec: "FamilySpec"
     period: int
-    period_divides: bool
     order_exact: bool
     beta: tuple[int, int]
     gamma: Fraction
@@ -203,17 +202,24 @@ def _admit(spec: FamilySpec, allow_large_r: bool) -> None:
             f"r={spec.r} is above the exact-order ceiling {EXACT_ORDER_CEILING}; "
             "pass allow_large_r=True if you accept the 4^r time and memory cost"
         )
+    cap = bit_cap()
+    if spec.r >= cap.bit_length():
+        # 4^r is past cap^2: refuse from r alone, before 4^r and 3^r are computed.
+        raise BitCapExceeded(
+            f"r={spec.r} needs more than 4^{spec.r} coefficient bits but the cap is {cap}"
+            " (set F2REP_BIT_CAP to raise it)"
+        )
     ensure_bits(family_prediction(spec).period + 8)
 
 
 def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVerdict:
     """Check one family member against its predictions.
 
-    Verifies that the predicted period divides (and whether it is the exact
-    order), that the measured cofactor counts match the predicted (c, d),
-    that the closed-form cofactor agrees with the Newton-inverted cofactor
-    (non-reciprocal members only), and reports measured robustness.  r above
-    EXACT_ORDER_CEILING needs allow_large_r=True.
+    Raises unless the predicted period is one.  The verdict records whether
+    it is the exact order, whether the measured cofactor counts match the
+    predicted (c, d), whether the closed-form cofactor agrees with the
+    Newton-inverted cofactor (non-reciprocal members only), and the measured
+    robustness.  r above EXACT_ORDER_CEILING needs allow_large_r=True.
     """
     _admit(spec, allow_large_r)
     pred = family_prediction(spec)
@@ -226,7 +232,6 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
     return FamilyVerdict(
         spec=spec,
         period=pred.period,
-        period_divides=True,
         order_exact=_exact(q, pred.period),
         beta=(ones, zeros),
         gamma=gamma,

@@ -166,6 +166,7 @@ def _int_from_text(text: str) -> int:
             e = int(exp)
         else:
             raise ValueError(f"bad polynomial term '{term}'")
+        ensure_bits(e + 1)
         t = 1 << e
         if bits & t:
             raise ValueError(f"repeated term '{term}'")

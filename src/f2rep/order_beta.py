@@ -20,11 +20,9 @@ from .gf2poly import F2Poly, _divrem_int, _gcd_int, _modpow_x_int, _mul_int, _sq
 
 __all__ = [
     "BetaReport",
-    "OrderCheck",
     "GapCheck",
     "OrderBoundExceeded",
     "order",
-    "verify_order_divides",
     "cofactor",
     "beta",
     "beta_N",
@@ -47,12 +45,6 @@ class BetaReport:
     beta: tuple[int, int]
     gamma: Fraction
     robust: bool
-
-
-@dataclass(frozen=True)
-class OrderCheck:
-    divides: bool
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -192,24 +184,6 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def verify_order_divides(f: F2Poly, candidate: int) -> OrderCheck:
-    """Does f divide 1 + x^candidate, and is the candidate the exact order.
-
-    Divisibility is one modpow; exactness additionally checks that no maximal
-    proper divisor candidate/p works, so the candidate must be one that
-    _prime_factors can factor.
-    """
-    bits = _require_order_domain(f)
-    if candidate < 1:
-        raise ValueError("candidate period must be positive")
-    if _modpow_x_int(candidate, bits) != 1:
-        return OrderCheck(divides=False, exact=False)
-    exact = all(
-        _modpow_x_int(candidate // p, bits) != 1 for p in _prime_factors(candidate)
-    )
-    return OrderCheck(divides=True, exact=exact)
-
-
 def _cofactor_int(fbits: int, N: int) -> int | None:
     """(1 + x^N) / fbits for deg fbits >= 1, or None when fbits does not
     divide 1 + x^N.  The quotient is the power series 1/fbits mod
@@ -288,12 +262,14 @@ def beta(f: F2Poly) -> BetaReport:
 
 
 def beta_N(f: F2Poly, N: int) -> BetaReport:
-    """Cofactor statistics at an arbitrary period multiple N.
+    """Cofactor statistics at an arbitrary period multiple N; the one check
+    of a claimed period.
 
-    The cofactor proves N a period (x^N = 1 mod f); order_exact records
-    whether it is the least one.  Both counts scale linearly in N/order, so
-    gamma is unchanged by the choice of window.  The cofactor is taken before
-    the exactness check, so an N over the bit cap fails before N is factored.
+    The cofactor proves N a period (x^N = 1 mod f), raising "not a period"
+    otherwise; order_exact records whether it is the least one.  Both counts
+    scale linearly in N/order, so gamma is unchanged by the choice of window.
+    The cofactor is taken before the exactness check, so an N over the bit
+    cap fails before N is factored.
     """
     _require_order_domain(f)
     q = cofactor(f, N).bits

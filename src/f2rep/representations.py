@@ -91,7 +91,6 @@ class ParityProfile:
 
     period: int
     odd_residues: tuple[int, ...]
-    order_exact: bool
 
 
 def phi(A: DigitSet) -> F2Poly:
@@ -167,7 +166,7 @@ def parity_profile(A: DigitSet) -> ParityProfile:
     p = phi(A)
     D = order(p)
     fstar = cofactor(p, D)
-    return ParityProfile(period=D, odd_residues=tuple(fstar.exponents()), order_exact=True)
+    return ParityProfile(period=D, odd_residues=tuple(fstar.exponents()))
 
 
 def stern(n: int) -> int:

@@ -241,6 +241,39 @@ def test_family_range_over_the_bit_cap_fails_before_any_member(capsys, monkeypat
     assert err.startswith(f"error: operation needs about {4**8 - 1 + 8} coefficient bits")
 
 
+def test_poly_text_over_the_bit_cap_fails_before_building_it(capsys, monkeypatch):
+    monkeypatch.setenv("F2REP_BIT_CAP", "1000")
+    code, out, err = run(capsys, "order", "x^5000 + 1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: operation needs about 5001 coefficient bits but the cap is 1000"
+        " (set F2REP_BIT_CAP to raise it)\n"
+    )
+
+
+def test_family_verify_far_past_the_bit_cap_names_the_cap(capsys, monkeypatch):
+    # 4^8000 has 4,817 digits: the refusal must not try to print it.
+    monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
+    code, out, err = run(capsys, "family", "verify", "--r", "8000", "--variant", "1", "--allow-large-r")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+    assert "the cap is 268435456" in err
+
+
+def test_family_range_with_a_huge_r_max_stops_at_the_first_refused_member(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "verify_family", lambda *a, **k: calls.append(a))
+    monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "family", "range", "--r-max", "1000000", "--allow-large-r")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out, calls) == (1, "", [])
+    assert err == (
+        "error: operation needs about 268435463 coefficient bits but the cap is 268435456"
+        " (set F2REP_BIT_CAP to raise it)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

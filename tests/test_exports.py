@@ -7,14 +7,14 @@ import f2rep
 PUBLIC = {
     "BetaReport", "BitCapExceeded", "DigitSet", "EXACT_ORDER_CEILING", "F2Poly",
     "FIGURE_COLUMNS", "FamilyPrediction", "FamilySpec", "FamilyVerdict", "FigureRow",
-    "GapCensusEntry", "GapCheck", "OrderBoundExceeded", "OrderCheck", "PRESETS",
+    "GapCensusEntry", "GapCheck", "OrderBoundExceeded", "PRESETS",
     "ParityProfile", "SCAN_COLUMNS", "ScanConfig", "ScanRecord", "ab_lemma_check",
     "beta", "beta_N", "bit_cap", "build_family", "cofactor", "coordinate_gap_bound_check",
     "count_representations", "diatomic_row", "divrem", "ell0", "ell1", "ensure_bits",
     "family_prediction", "figure_data", "from_index", "g_product", "gap_census",
     "glaisher_sum", "h_closed_form", "is_robust", "modpow_x", "mul", "odd_binomial_count",
     "one_plus_x_pow", "order", "parity_profile", "parity_series", "parse_poly", "phi",
-    "reciprocal", "scan", "stern", "verify_family", "verify_order_divides",
+    "reciprocal", "scan", "stern", "verify_family",
     "write_figure_csv", "write_scan_csv", "write_scan_jsonl",
 }
 

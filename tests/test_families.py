@@ -9,6 +9,7 @@ import pytest
 
 from f2rep import (
     EXACT_ORDER_CEILING,
+    BitCapExceeded,
     F2Poly,
     FamilySpec,
     ab_lemma_check,
@@ -179,7 +180,7 @@ def test_odd_binomial_count_values():
 def test_verify_family_worked_examples():
     v = verify_family(FamilySpec(3, 1))
     assert v.period == 63
-    assert v.period_divides and v.order_exact
+    assert v.order_exact
     assert v.beta == (37, 26)
     assert v.gamma == Fraction(37, 63)
     assert v.matches_prediction and v.closed_form_matches and v.robust
@@ -209,7 +210,7 @@ def test_verify_family_small_r_reports_measured_robustness():
 def test_verify_family_r_up_to_six(variant, recip):
     for r in range(3, 7):
         v = verify_family(FamilySpec(r, variant, recip))
-        assert v.period_divides and v.order_exact and v.matches_prediction
+        assert v.order_exact and v.matches_prediction
         assert v.robust
         assert v.gamma > 1 - Fraction(3, 4) ** r
 
@@ -226,6 +227,13 @@ def test_verify_family_refuses_a_predicted_period_that_is_not_one(monkeypatch):
     monkeypatch.setattr(families, "family_prediction", lambda spec: wrong)
     with pytest.raises(ValueError, match=f"not a period: the polynomial does not divide 1 \\+ x\\^{wrong.period}"):
         verify_family(FamilySpec(3, 1))
+
+
+def test_admission_refuses_a_huge_r_before_predicting(monkeypatch):
+    monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
+    monkeypatch.setattr(families, "family_prediction", lambda spec: pytest.fail("predicted"))
+    with pytest.raises(BitCapExceeded, match="r=30000000 needs more than 4\\^30000000"):
+        verify_family(FamilySpec(30_000_000, 1), allow_large_r=True)
 
 
 def test_reciprocal_member_shares_beta():

@@ -367,3 +367,11 @@ def test_bit_cap_env_override(monkeypatch):
         ensure_bits(1001)
     assert "F2REP_BIT_CAP" in str(exc.value)
     ensure_bits(1000)  # at the cap is fine
+
+
+def test_parse_poly_checks_each_exponent_against_the_cap(monkeypatch):
+    # The term x^e is refused before its 1 << e is built.
+    monkeypatch.setenv("F2REP_BIT_CAP", "1000")
+    assert parse_poly("x^999 + 1").degree == 999
+    with pytest.raises(BitCapExceeded, match="needs about 5001 coefficient bits but the cap is 1000"):
+        parse_poly("x^5000 + 1")

@@ -22,7 +22,6 @@ from f2rep import (
     order,
     parse_poly,
     reciprocal,
-    verify_order_divides,
 )
 
 from f2rep.gf2poly import _modpow_x_int, _mul_int, _reciprocal_int
@@ -83,9 +82,8 @@ def test_order_matches_stepwise_oracle(high):
     f = F2Poly((high << 1) | 1)
     D = order(f)
     assert D == ref_order(set(f.exponents()), 1 << f.degree)
-    # Minimality, restated through the divisor check.
-    chk = verify_order_divides(f, D)
-    assert chk.divides and chk.exact
+    # Minimality, restated through the period check.
+    assert beta_N(f, D).order_exact
 
 
 def test_factored_order_matches_the_scan_up_to_degree_12():
@@ -135,9 +133,13 @@ def test_order_kernel_agrees_with_the_scan_on_both_sides_of_the_crossover(n, bou
         ("x + 1", 2, True, False),
     ],
 )
-def test_verify_order_divides(poly, candidate, divides, exact):
-    chk = verify_order_divides(parse_poly(poly), candidate)
-    assert (chk.divides, chk.exact) == (divides, exact)
+def test_beta_n_checks_a_claimed_period(poly, candidate, divides, exact):
+    f = parse_poly(poly)
+    if not divides:
+        with pytest.raises(ValueError, match="not a period"):
+            beta_N(f, candidate)
+    else:
+        assert beta_N(f, candidate).order_exact == exact
 
 
 @pytest.mark.parametrize(
@@ -174,11 +176,6 @@ def test_miller_rabin_bases_reach_41():
     assert not _is_prime(318665857834031151167461)
     assert _is_prime((1 << 61) - 1)
     assert _is_prime((1 << 31) - 1)
-
-
-def test_verify_order_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        verify_order_divides(parse_poly("x + 1"), 0)
 
 
 def test_cofactor_matches_frozen_expansions(f31, f32):
@@ -224,13 +221,14 @@ def test_newton_cofactor_matches_division_on_every_small_polynomial():
     assert _cofactor_int(3, 0) is None
 
 
-def test_exact_matches_verify_order_divides_on_every_small_polynomial():
+def test_exact_holds_only_at_the_order_on_every_small_polynomial():
+    # N = k * order is the least period exactly when k = 1, and _order_int is
+    # itself checked against the stepwise ref_order.
     for f in range(3, 1 << 13, 2):
         D = _order_int(f, None)
         for k in (1, 2, 3, 4, 6):
             N = k * D
-            q = _cofactor_int(f, N)
-            assert _exact(q, N) == verify_order_divides(F2Poly(f), N).exact, (f, N)
+            assert _exact(_cofactor_int(f, N), N) == (k == 1), (f, N)
 
 
 # (x^2 + x + 1)^14: degree 28, order 3 * 16.

@@ -126,7 +126,6 @@ def test_parity_profile_examples():
     prof = parity_profile(DigitSet([0, 1, 2]))
     assert prof.period == 3
     assert prof.odd_residues == (0, 1)
-    assert prof.order_exact
 
     prof = parity_profile(DigitSet([0, 1, 7, 9]))
     assert prof.period == 63
