@@ -140,10 +140,11 @@ def one_plus_x_pow(n: int) -> F2Poly:
 def h_closed_form(r: int, variant: int) -> F2Poly:
     """The family cofactor rebuilt from its closed form rather than by division.
 
-    Both variants are an all-ones run xored with a sum of shifted binomial
-    blocks x^(stride*n) (1+x)^(n-1), summed by halving so that each bit is
-    copied once per level; the blocks are pairwise disjoint, which is
-    asserted at each join.
+    Both variants are an all-ones run xored with the shifted binomial blocks
+    x^(s n) (1+x)^(n-1), n < 2^r, for the stride s.  With u = x^s (1+x) the
+    blocks sum to x^s (sum_{j<2^r} u^j - u^(2^r-1)); the sum is the doubling
+    product prod_{j<r} (1 + x^(s 2^j) + x^((s+1) 2^j)), and (1+x)^(2^r-1) is
+    a run of 2^r ones.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -151,20 +152,10 @@ def h_closed_form(r: int, variant: int) -> F2Poly:
         raise ValueError("variant must be 1 or 2")
     ensure_bits(4**r + 2**r + 2)
     two_r = 1 << r
-    stride = two_r - 1 if variant == 1 else two_r
-
-    def blocks(lo: int, hi: int) -> int:
-        # Blocks n = lo .. hi - 1, shifted down by stride * lo.
-        if hi - lo == 1:
-            return one_plus_x_pow(lo - 1).bits
-        mid = (lo + hi) // 2
-        left = blocks(lo, mid)
-        assert left.bit_length() <= stride * (mid - lo)  # blocks must not overlap
-        return left ^ (blocks(mid, hi) << stride * (mid - lo))
-
-    s = blocks(1, two_r) << stride
+    s = two_r - 1 if variant == 1 else two_r
+    blocks = (_doubling_product(s, s + 1, r) ^ (((1 << two_r) - 1) << s * (two_r - 1))) << s
     ones = (1 << (4**r - two_r)) - 1 if variant == 1 else (1 << 4**r) - 1
-    return F2Poly(ones ^ s)
+    return F2Poly(ones ^ blocks)
 
 
 def ab_lemma_check(a: int, b: int, m: int) -> bool:

@@ -120,13 +120,14 @@ PRESETS: dict[str, ScanConfig] = {
 }
 
 
-def _record(n: int, order_bound: int | None) -> ScanRecord:
+def _record(n: int, order_bound: int | None) -> tuple[int | None, int | None]:
+    """(order D, cofactor one-count) of n, or (None, None) when n has no order."""
     D = None if n == 1 else _order_int(n, order_bound)
     if D is None:
-        return _make_record(n, None, None)
+        return None, None
     ensure_bits(D + 1)
-    q = _cofactor_int(n, D)  # proved by its own product check, so never None here
-    return _make_record(n, D, q.bit_count())
+    # proved by its own product check, so never None here
+    return D, _cofactor_int(n, D).bit_count()
 
 
 def _make_record(n: int, D: int | None, ones: int | None) -> ScanRecord:
@@ -155,18 +156,19 @@ def _corpus(config: ScanConfig) -> Iterator[int]:
             yield n
 
 
-def _canonical_chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...]]]:
-    """The members n <= rev n of the corpus, in chunks of at most _CHUNK of one
-    degree, so that a chunk never waits on orders of a higher degree."""
-    canonical = (n for n in _corpus(config) if _reciprocal_int(n) >= n)
-    for _, same_degree in groupby(canonical, int.bit_length):
+def _chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...]]]:
+    """The corpus in chunks of at most _CHUNK members of one degree, so that a
+    chunk never waits on orders of a higher degree.  Reversal keeps the degree,
+    so the partner m = rev n > n of a member lies in its chunk or a later one."""
+    for _, same_degree in groupby(_corpus(config), int.bit_length):
         while chunk := tuple(islice(same_degree, _CHUNK)):
             yield config.order_bound, chunk
 
 
-def _scan_chunk(task: tuple[int | None, tuple[int, ...]]) -> list[ScanRecord]:
+def _scan_chunk(task: tuple[int | None, tuple[int, ...]]) -> tuple[tuple[int, ...], list]:
+    """The chunk's members, with (order, ones) for each n <= rev n and None for the rest."""
     bound, members = task
-    return [_record(n, bound) for n in members]
+    return members, [_record(n, bound) if _reciprocal_int(n) >= n else None for n in members]
 
 
 def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
@@ -196,27 +198,20 @@ def scan(
     """Records for every odd index of the corpus, ordered by index, the same
     for every worker count.  f and rev f share the order and the cofactor
     counts, so only the member n <= rev n of each pair is computed, in lazy
-    chunks (on a pool when jobs > 1); the other takes its (order, ell1)."""
+    chunks (on a pool when jobs > 1); the other takes its (order, ones)."""
     stop = config.index_stop
-    results = _ordered_map(_scan_chunk, _canonical_chunks(config), config.jobs)
-    computed: Iterator[ScanRecord] = iter(())
     partners: dict[int, tuple[int | None, int | None]] = {}
-    for n in _corpus(config):
-        m = _reciprocal_int(n)
-        if m < n:
-            # rev f * rev f* = rev(1 + x^D) = 1 + x^D, and f | 1 + x^k iff rev f
-            # does: the product check of the partner's cofactor proves this record too.
-            yield _make_record(n, *partners.pop(n))
-            continue
-        rec = next(computed, None)
-        if rec is None:
-            if progress is not None:
-                progress(n // 2, stop // 2)
-            computed = iter(next(results))
-            rec = next(computed)
-        if n < m < stop:
-            partners[m] = (rec.order, rec.ell1)
-        yield rec
+    for members, pairs in _ordered_map(_scan_chunk, _chunks(config), config.jobs):
+        if progress is not None:
+            progress(members[0] // 2, stop // 2)
+        for n, pair in zip(members, pairs):
+            if pair is None:
+                # rev f * rev f* = rev(1 + x^D) = 1 + x^D, and f | 1 + x^k iff rev f
+                # does: the product check of the partner's cofactor proves this record too.
+                pair = partners.pop(n)
+            elif n < (m := _reciprocal_int(n)) < stop:
+                partners[m] = pair
+            yield _make_record(n, *pair)
     if progress is not None:
         progress(stop // 2, stop // 2)
 
@@ -233,11 +228,7 @@ def figure_data(index_max: int = 4096) -> Iterator[FigureRow]:
     return (FigureRow(r.n, r.gamma, r.gamma.numerator / r.gamma.denominator) for r in recs)
 
 
-def gap_census(
-    degree_max: int,
-    jobs: int = 1,
-    progress: Callable[[int, int], None] | None = None,
-) -> list[GapCensusEntry]:
+def gap_census(degree_max: int, jobs: int = 1) -> list[GapCensusEntry]:
     """Largest observed |ell1 - ell0| per degree k = 1..degree_max.
 
     A degree passes when every record of it passes, which is the integer-exact
@@ -248,7 +239,7 @@ def gap_census(
     maxima: dict[int, int] = {}
     failed: set[int] = set()
     cfg = ScanConfig(degree_max=degree_max, jobs=jobs)
-    for rec in scan(cfg, progress=progress):
+    for rec in scan(cfg):
         if rec.status != "ok":
             continue
         if rec.gap > maxima.get(rec.degree, -1):

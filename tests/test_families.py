@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,25 @@ def test_admission_refuses_a_huge_r_before_predicting(monkeypatch):
     monkeypatch.setattr(families, "family_prediction", lambda spec: pytest.fail("predicted"))
     with pytest.raises(BitCapExceeded, match="r=30000000 needs more than 4\\^30000000"):
         verify_family(FamilySpec(30_000_000, 1), allow_large_r=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: g_product(8000, 1),
+        lambda: h_closed_form(8000, 1),
+        lambda: ab_lemma_check(1, 2, 20000),
+    ],
+    ids=["g_product", "h_closed_form", "ab_lemma_check"],
+)
+def test_sizes_past_4300_digits_are_refused_by_the_cap(monkeypatch, call):
+    # A decimal of the size would pass Python's int-to-str digit limit.
+    monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
+    t0 = time.perf_counter()
+    with pytest.raises(BitCapExceeded, match="needs more than 2\\^") as exc:
+        call()
+    assert time.perf_counter() - t0 < 1
+    assert len(str(exc.value)) < 200
 
 
 def test_reciprocal_member_shares_beta():

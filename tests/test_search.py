@@ -20,7 +20,8 @@ from f2rep import (
     write_scan_csv,
     write_scan_jsonl,
 )
-from f2rep.search import _corpus, _record
+from f2rep import search
+from f2rep.search import _corpus, _make_record, _record
 
 _WEIGHT = {"all": None, "trinomial": 3, "quadrinomial": 4}
 
@@ -258,4 +259,14 @@ def test_corpus_lists_what_the_weight_filter_kept(shape, extent):
 )
 def test_paired_scan_matches_a_record_per_index(shape, extent, bound, jobs):
     config = ScanConfig(shape=shape, order_bound=bound, jobs=jobs, **extent)
-    assert run(config) == [_record(n, bound) for n in _old_filter(config)]
+    assert run(config) == [_make_record(n, *_record(n, bound)) for n in _old_filter(config)]
+
+
+# Chunks of 7 put the partner rev n of a member in a later chunk.
+@pytest.mark.parametrize("shape", list(_WEIGHT))
+@pytest.mark.parametrize("bound", [None, 83])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_partners_in_later_chunks(monkeypatch, shape, bound, jobs):
+    monkeypatch.setattr(search, "_CHUNK", 7)
+    config = ScanConfig(degree_max=10, shape=shape, order_bound=bound, jobs=jobs)
+    assert run(config) == [_make_record(n, *_record(n, bound)) for n in _old_filter(config)]
