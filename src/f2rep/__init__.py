@@ -10,18 +10,15 @@ included), and exhaustive scan / census / figure data generation.
 
 from . import families, gf2poly, order_beta, representations, search
 from .families import *
-from .families import build as build_family
 from .gf2poly import *
 from .order_beta import *
 from .representations import *
 from .search import *
 
-del build  # exported under the clearer name build_family
-
 __version__ = "0.1.0"
 
 __all__ = [
-    "build_family" if name == "build" else name
+    name
     for module in (gf2poly, order_beta, families, representations, search)
     for name in module.__all__
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 
@@ -18,7 +19,7 @@ from .families import (
     _admit,
     verify_family,
 )
-from .gf2poly import BitCapExceeded, F2Poly, parse_poly
+from .gf2poly import BitCapExceeded, F2Poly, ensure_bits, parse_poly
 from .order_beta import OrderBoundExceeded, beta, beta_N, cofactor, order
 from .representations import (
     DigitSet,
@@ -31,6 +32,7 @@ from .representations import (
 from .search import (
     PRESETS,
     ScanConfig,
+    _order_ceiling,
     _ordered_map,
     figure_data,
     gap_census,
@@ -53,10 +55,16 @@ def _format_poly(p: F2Poly, fmt: str) -> str:
     return p.to_text()
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None, corpus: ScanConfig):
+    """stdout or the file at path, opened only once no order of the corpus can
+    need a cofactor over the bit cap, so a refusal comes before the header."""
+    ensure_bits(_order_ceiling(corpus) + 1)
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as out:
+            yield out
 
 
 def _progress_printer(done: int, total: int) -> None:
@@ -148,25 +156,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     records = scan(cfg, progress=progress)
     if args.robust_only:
         records = (rec for rec in records if rec.robust)
-    out, close = _open_out(args.out)
-    try:
-        if args.json:
-            write_scan_jsonl(records, out)
-        else:
-            write_scan_csv(records, out)
-    finally:
-        if close:
-            out.close()
+    with _output(args.out, cfg) as out:
+        (write_scan_jsonl if args.json else write_scan_csv)(records, out)
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    out, close = _open_out(args.out)
-    try:
-        write_figure_csv(figure_data(args.max), out)
-    finally:
-        if close:
-            out.close()
+    rows = figure_data(args.max)  # refuses a --max below 5 first
+    with _output(args.out, ScanConfig(index_max=args.max)) as out:
+        write_figure_csv(rows, out)
     return 0
 
 

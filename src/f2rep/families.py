@@ -7,11 +7,9 @@ counts (4^r - 3^r + 2^r, 3^r + 1).  Each member has a coefficient-reversed
 sibling with identical statistics.  Robustness is a theorem only for r >= 3;
 smaller r still builds and verifies but is reported as measured.
 
-The module exposes the supporting identities for direct checking: the
-doubling product behind the period divisibility, the term-by-term closed
-form of the cofactor, the telescoping (a, b) trinomial product, the direct
-popcount sum evaluating to 3^r - 2^r, and the odd-binomial row count
-2^popcount(n).
+verify_family checks a member against its predictions, and against the
+closed form of its cofactor that h_closed_form builds from a doubling
+product rather than by division.
 """
 
 from __future__ import annotations
@@ -28,13 +26,8 @@ __all__ = [
     "FamilyPrediction",
     "FamilyVerdict",
     "family_prediction",
-    "build",
-    "g_product",
-    "one_plus_x_pow",
+    "build_family",
     "h_closed_form",
-    "ab_lemma_check",
-    "glaisher_sum",
-    "odd_binomial_count",
     "verify_family",
 ]
 
@@ -84,7 +77,7 @@ def family_prediction(spec: FamilySpec) -> FamilyPrediction:
     return FamilyPrediction(period=4**r + 2**r + 1, c=4**r - 3**r + 2**r, d=3**r + 1)
 
 
-def build(spec: FamilySpec) -> F2Poly:
+def build_family(spec: FamilySpec) -> F2Poly:
     """The family quadrinomial (repeated exponents cancel at r = 1)."""
     r = spec.r
     if spec.variant == 1:
@@ -100,41 +93,6 @@ def _doubling_product(a: int, b: int, m: int) -> int:
     for j in range(m):
         acc = acc ^ (acc << (a << j)) ^ (acc << (b << j))
     return acc
-
-
-def g_product(r: int, variant: int) -> F2Poly:
-    """Literal evaluation of the doubling product behind the period identity.
-
-    Variant 1 multiplies the r trinomials 1 + x^((2^r-1)2^j) + x^(2^r 2^j)
-    and then adds the single term x^(4^r - 2^r); variant 2 multiplies
-    1 + x^(2^j 2^r) + x^(2^j (2^r+1)) for j < r.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    ensure_bits(4**r + 1)
-    a, b = (2**r - 1, 2**r) if variant == 1 else (2**r, 2**r + 1)
-    acc = _doubling_product(a, b, r)
-    if variant == 1:
-        acc ^= 1 << (4**r - 2**r)
-    return F2Poly(acc)
-
-
-def one_plus_x_pow(n: int) -> F2Poly:
-    """(1 + x)^n via the binary decomposition of n: one squared factor per set bit."""
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    ensure_bits(n + 2)
-    acc = 1
-    k = 0
-    v = n
-    while v:
-        if v & 1:
-            acc ^= acc << (1 << k)
-        k += 1
-        v >>= 1
-    return F2Poly(acc)
 
 
 def h_closed_form(r: int, variant: int) -> F2Poly:
@@ -156,34 +114,6 @@ def h_closed_form(r: int, variant: int) -> F2Poly:
     blocks = (_doubling_product(s, s + 1, r) ^ (((1 << two_r) - 1) << s * (two_r - 1))) << s
     ones = (1 << (4**r - two_r)) - 1 if variant == 1 else (1 << 4**r) - 1
     return F2Poly(ones ^ blocks)
-
-
-def ab_lemma_check(a: int, b: int, m: int) -> bool:
-    """Check (1 + x^a + x^b) * prod_{j<m} (1 + x^(2^j a) + x^(2^j b))
-    equals 1 + x^(2^m a) + x^(2^m b)."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ensure_bits((b << m) + 1)
-    acc = _doubling_product(a, b, m)
-    lhs = acc ^ (acc << a) ^ (acc << b)
-    rhs = 1 | (1 << (a << m)) | (1 << (b << m))
-    return lhs == rhs
-
-
-def glaisher_sum(r: int) -> int:
-    """Direct evaluation of sum(2^popcount(k)) for 0 <= k <= 2^r - 2."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    return sum(1 << k.bit_count() for k in range((1 << r) - 1))
-
-
-def odd_binomial_count(n: int) -> int:
-    """How many binomial coefficients in row n are odd: 2^popcount(n)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return 1 << n.bit_count()
 
 
 def _admit(spec: FamilySpec, allow_large_r: bool) -> None:
@@ -214,7 +144,7 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
     """
     _admit(spec, allow_large_r)
     pred = family_prediction(spec)
-    f = build(spec)
+    f = build_family(spec)
     q = cofactor(f, pred.period).bits  # raises unless the predicted period is one
     ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), pred.period, f.degree)
     closed = None

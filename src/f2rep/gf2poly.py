@@ -21,10 +21,7 @@ __all__ = [
     "BitCapExceeded",
     "bit_cap",
     "ensure_bits",
-    "from_index",
     "parse_poly",
-    "mul",
-    "divrem",
     "modpow_x",
     "reciprocal",
     "ell1",
@@ -297,13 +294,6 @@ class F2Poly:
         return f"F2Poly(degree={self.degree}, terms={self._bits.bit_count()})"
 
 
-def from_index(n: int) -> F2Poly:
-    """The n-th polynomial: binary digits of n are the coefficients (bit i -> x^i)."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return F2Poly(n)
-
-
 def parse_poly(text: str) -> F2Poly:
     """Accept expression (``x^3 + x + 1``), hex (``0xb``) or index (``@11``) form."""
     s = text.strip()
@@ -318,17 +308,6 @@ def parse_poly(text: str) -> F2Poly:
         except ValueError:
             raise ValueError(f"bad hex coefficient string '{s}'") from None
     return F2Poly(_int_from_text(s))
-
-
-def mul(a: F2Poly, b: F2Poly) -> F2Poly:
-    """Carry-less product of two polynomials."""
-    return F2Poly(_mul_int(a.bits, b.bits))
-
-
-def divrem(a: F2Poly, b: F2Poly) -> tuple[F2Poly, F2Poly]:
-    """Euclidean division: a = q*b + r with deg r < deg b."""
-    q, r = _divrem_int(a.bits, b.bits)
-    return F2Poly(q), F2Poly(r)
 
 
 def modpow_x(exponent: int, modulus: F2Poly) -> F2Poly:

@@ -26,7 +26,6 @@ __all__ = [
     "cofactor",
     "beta",
     "beta_N",
-    "is_robust",
     "coordinate_gap_bound_check",
 ]
 
@@ -274,11 +273,6 @@ def beta_N(f: F2Poly, N: int) -> BetaReport:
     _require_order_domain(f)
     q = cofactor(f, N).bits
     return _beta_from(f, N, q, _exact(q, N))
-
-
-def is_robust(f: F2Poly) -> bool:
-    """Ones of the cofactor exceed zeros by more than one at the exact order."""
-    return beta(f).robust
 
 
 def coordinate_gap_bound_check(f: F2Poly) -> GapCheck:

@@ -15,6 +15,7 @@ its diatomic rows are provided for cross-reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .gf2poly import F2Poly, ensure_bits
 from .order_beta import cofactor, order
@@ -31,14 +32,15 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class DigitSet:
-    """Strictly increasing digits starting at 0.
+    """Strictly increasing digits starting at 0, an immutable value.
 
     The 0 digit is required: without it no n > 0 would terminate the
     digit-peeling recursion with finitely many representations.
     """
 
-    __slots__ = ("_digits", "_memo")
+    digits: tuple[int, ...]
 
     def __init__(self, digits):
         ds = tuple(int(d) for d in digits)
@@ -49,8 +51,7 @@ class DigitSet:
         ds = tuple(sorted(ds))
         if not ds or ds[0] != 0:
             raise ValueError("digit set must contain 0")
-        self._digits = ds
-        self._memo = {0: 1}
+        object.__setattr__(self, "digits", ds)
 
     @classmethod
     def parse(cls, text: str) -> "DigitSet":
@@ -66,23 +67,11 @@ class DigitSet:
                 raise ValueError(f"bad digit '{p}' in digit set '{text}'")
         return cls(int(p) for p in parts)
 
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return self._digits
-
     def __str__(self) -> str:
-        return "{" + ",".join(str(d) for d in self._digits) + "}"
+        return "{" + ",".join(str(d) for d in self.digits) + "}"
 
     def __repr__(self) -> str:
         return f"DigitSet({self})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DigitSet):
-            return NotImplemented
-        return self._digits == other._digits
-
-    def __hash__(self) -> int:
-        return hash(self._digits)
 
 
 @dataclass(frozen=True)
@@ -95,47 +84,35 @@ class ParityProfile:
 
 def phi(A: DigitSet) -> F2Poly:
     """Characteristic polynomial of the digit set: sum of x^a over its digits."""
+    ensure_bits(A.digits[-1] + 1)
     return F2Poly.from_exponents(A.digits)
 
 
 def count_representations(A: DigitSet, n: int) -> int:
     """Exact number of ways to write n with digits from A in base 2.
 
-    Peels the last binary digit: every representation of n picks some digit
-    a = n (mod 2) for position 0 and continues as a representation of
-    (n - a)/2.  Counts are memoized on the digit set, so repeated queries
-    share work; the memo makes a DigitSet instance single-threaded.
+    Reads n from its last bit up.  counts[c] is the number of ways to choose
+    the digits below position i so that they sum to (n mod 2^i) + c 2^i.  A
+    digit a at position i takes the carry c, with c + a = bit i of n (mod 2),
+    to (c + a - bit) / 2.  A carry above the high part n >> (i + 1) is
+    dropped, so a level holds at most max(A) + 1 carries.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    memo = A._memo
-    if n in memo:
-        return memo[n]
-    digits = A.digits
-    stack = [n]
-    while stack:
-        m = stack[-1]
-        if m in memo:
-            stack.pop()
-            continue
-        total = 0
-        ready = True
-        for a in digits:
-            if a > m:
+    counts = [1]
+    for i in range(n.bit_length()):
+        bit = (n >> i) & 1
+        nxt = [0] * (min(n >> (i + 1), A.digits[-1]) + 1)
+        for a in A.digits:
+            # The carries c with c + a = bit (mod 2), c0, c0 + 2, ..., land on lo, lo + 1, ...
+            c0 = (a ^ bit) & 1
+            lo = (c0 + a - bit) >> 1
+            if lo >= len(nxt):
                 break
-            if (a ^ m) & 1:
-                continue
-            child = (m - a) >> 1
-            v = memo.get(child)
-            if v is None:
-                stack.append(child)
-                ready = False
-            else:
-                total += v
-        if ready:
-            memo[m] = total
-            stack.pop()
-    return memo[n]
+            src = counts[c0::2][: len(nxt) - lo]
+            nxt[lo : lo + len(src)] = map(add, src, nxt[lo:])
+        counts = nxt
+    return counts[0]
 
 
 def parity_series(A: DigitSet, N: int) -> list[int]:

@@ -156,6 +156,18 @@ def _corpus(config: ScanConfig) -> Iterator[int]:
             yield n
 
 
+def _order_ceiling(config: ScanConfig) -> int:
+    """The largest order a member of the corpus can have: 2^d - 1 at its top
+    degree d, or for quadrinomials, all divisible by 1 + x, 2^(d-1) - 1 (but 4
+    at d = 3, where the one member is (1 + x)^3); at most the order bound."""
+    d = ((config.index_stop - 2) | 1).bit_length() - 1  # degree of the last odd index
+    if config.shape != "quadrinomial":
+        ceiling = (1 << d) - 1
+    else:
+        ceiling = 4 if d == 3 else (1 << max(d - 1, 0)) - 1
+    return ceiling if config.order_bound is None else min(config.order_bound, ceiling)
+
+
 def _chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...]]]:
     """The corpus in chunks of at most _CHUNK members of one degree, so that a
     chunk never waits on orders of a higher degree.  Reversal keeps the degree,

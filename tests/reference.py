@@ -1,11 +1,19 @@
-"""Slow, simple reference implementations used only as test oracles.
+"""Slow, simple reference implementations used only as test oracles, and
+the identities of the paper's family proofs, written out for direct checking.
 
-Nearly everything works on plain sets of exponents, plain int shifts or
+Nearly every oracle works on plain sets of exponents, plain int shifts or
 direct recursion, so none of the bit-packed production code is involved.
 Two exceptions build on f2rep.  ref_cofactor keeps the exact long division
 the cofactor used to be taken with; that division kernel is itself checked
 against ref_divmod.  ref_parity_series_via_cofactor tiles the cofactor of
 parity_profile, a second route to the stream that parity_series computes.
+
+The identities build on f2rep's F2Poly and bit cap: the doubling product
+behind the family period (g_product), the telescoping (a, b) trinomial
+product (ab_lemma_check), (1 + x)^n by its binary decomposition
+(one_plus_x_pow), the direct popcount sum evaluating to 3^r - 2^r
+(glaisher_sum), and the odd-binomial row count 2^popcount(n)
+(odd_binomial_count).
 """
 
 from __future__ import annotations
@@ -13,6 +21,9 @@ from __future__ import annotations
 import functools
 import math
 from itertools import product
+
+from f2rep import F2Poly, ensure_bits
+from f2rep.families import _doubling_product
 
 
 def ref_mul(a: set[int], b: set[int]) -> set[int]:
@@ -134,6 +145,20 @@ def ref_count_reps(digits: tuple[int, ...], n: int) -> int:
     return count
 
 
+def ref_count_peeling(digits: tuple[int, ...], n: int) -> int:
+    """Counts by peeling the last binary digit: a representation of m > 0
+    picks a digit a = m (mod 2) at position 0 and goes on as one of
+    (m - a) / 2.  Memoized recursion, depth the bit length of n."""
+
+    @functools.lru_cache(maxsize=None)
+    def f(m: int) -> int:
+        if m == 0:
+            return 1
+        return sum(f((m - a) >> 1) for a in digits if a <= m and not (a ^ m) & 1)
+
+    return f(n)
+
+
 @functools.lru_cache(maxsize=None)
 def ref_stern(n: int) -> int:
     if n < 2:
@@ -145,3 +170,66 @@ def ref_stern(n: int) -> int:
 
 def ref_odd_binomials(n: int) -> int:
     return sum(1 for j in range(n + 1) if math.comb(n, j) % 2)
+
+
+def g_product(r: int, variant: int) -> F2Poly:
+    """Literal evaluation of the doubling product behind the period identity.
+
+    Variant 1 multiplies the r trinomials 1 + x^((2^r-1)2^j) + x^(2^r 2^j)
+    and then adds the single term x^(4^r - 2^r); variant 2 multiplies
+    1 + x^(2^j 2^r) + x^(2^j (2^r+1)) for j < r.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if variant not in (1, 2):
+        raise ValueError("variant must be 1 or 2")
+    ensure_bits(4**r + 1)
+    a, b = (2**r - 1, 2**r) if variant == 1 else (2**r, 2**r + 1)
+    acc = _doubling_product(a, b, r)
+    if variant == 1:
+        acc ^= 1 << (4**r - 2**r)
+    return F2Poly(acc)
+
+
+def one_plus_x_pow(n: int) -> F2Poly:
+    """(1 + x)^n via the binary decomposition of n: one squared factor per set bit."""
+    if n < 0:
+        raise ValueError("exponent must be non-negative")
+    ensure_bits(n + 2)
+    acc = 1
+    k = 0
+    v = n
+    while v:
+        if v & 1:
+            acc ^= acc << (1 << k)
+        k += 1
+        v >>= 1
+    return F2Poly(acc)
+
+
+def ab_lemma_check(a: int, b: int, m: int) -> bool:
+    """Check (1 + x^a + x^b) * prod_{j<m} (1 + x^(2^j a) + x^(2^j b))
+    equals 1 + x^(2^m a) + x^(2^m b)."""
+    if not 0 < a < b:
+        raise ValueError("need 0 < a < b")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    ensure_bits((b << m) + 1)
+    acc = _doubling_product(a, b, m)
+    lhs = acc ^ (acc << a) ^ (acc << b)
+    rhs = 1 | (1 << (a << m)) | (1 << (b << m))
+    return lhs == rhs
+
+
+def glaisher_sum(r: int) -> int:
+    """Direct evaluation of sum(2^popcount(k)) for 0 <= k <= 2^r - 2."""
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    return sum(1 << k.bit_count() for k in range((1 << r) - 1))
+
+
+def odd_binomial_count(n: int) -> int:
+    """How many binomial coefficients in row n are odd: 2^popcount(n)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return 1 << n.bit_count()

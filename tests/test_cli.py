@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from f2rep import cli, parse_poly
 from f2rep.cli import main
+
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -300,12 +307,92 @@ def test_parity_series_over_the_bit_cap_fails_fast(capsys, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scan_over_the_bit_cap_fails_with_the_cap_message(capsys, monkeypatch, jobs):
-    # Degree 10 is the first with an order D past 999, so a cofactor of D + 1 bits.
+    # Degree 12 can hold orders up to 4095, so the scan is refused before its first record.
     monkeypatch.setenv("F2REP_BIT_CAP", "1000")
     code, _, err = run(capsys, "scan", "--degree-max", "12", "--jobs", jobs)
     assert code == 1
     assert err.startswith("error: operation needs about")
     assert err.endswith("coefficient bits but the cap is 1000 (set F2REP_BIT_CAP to raise it)\n")
+
+
+@pytest.mark.parametrize(
+    "cap,argv,size",
+    [
+        # x^24 + x^4 + x^3 + ... may reach order 2^24 - 1: refused before degree 2.
+        ("1048576", ("scan", "--degree-max", "24", "--shape", "trinomial"), 1 << 24),
+        # Quadrinomials of degree 22 are (1 + x) g: orders up to 2^21 - 1.
+        ("1048576", ("scan", "--degree-max", "22", "--shape", "quadrinomial"), 1 << 21),
+        ("1000", ("figure", "--max", "4096"), 2048),
+    ],
+)
+def test_scan_and_figure_refuse_before_the_header(capsys, monkeypatch, tmp_path, cap, argv, size):
+    monkeypatch.setenv("F2REP_BIT_CAP", cap)
+    message = (
+        f"error: operation needs about {size} coefficient bits but the cap is {cap}"
+        " (set F2REP_BIT_CAP to raise it)\n"
+    )
+    assert run(capsys, *argv) == (1, "", message)
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier run\n")
+    assert run(capsys, *argv, "--out", str(fresh)) == (1, "", message)
+    assert run(capsys, *argv, "--out", str(kept)) == (1, "", message)
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier run\n"
+
+
+def test_figure_refuses_a_small_max_before_opening_out(capsys, tmp_path):
+    out = tmp_path / "figure.csv"
+    assert run(capsys, "figure", "--max", "3", "--out", str(out)) == (
+        1, "", "error: index_max must be at least 5\n"
+    )
+    assert not out.exists()
+
+
+def test_scan_that_fits_the_cap_exactly_runs(capsys, monkeypatch):
+    # Every trinomial of degree <= 11 has order <= 2047, a cofactor of 2048 bits.
+    monkeypatch.setenv("F2REP_BIT_CAP", "2048")
+    code, out, err = run(capsys, "scan", "--degree-max", "11", "--shape", "trinomial")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 + 55
+    monkeypatch.setenv("F2REP_BIT_CAP", "2047")
+    assert run(capsys, "scan", "--degree-max", "11", "--shape", "trinomial")[:2] == (1, "")
+
+
+def test_parity_of_a_digit_set_over_the_cap_fails_fast(capsys, monkeypatch):
+    monkeypatch.setenv("F2REP_BIT_CAP", "1000")
+    t0 = time.perf_counter()
+    assert run(capsys, "parity", "--set", "{0,1,30000}") == (
+        1,
+        "",
+        "error: operation needs about 30001 coefficient bits but the cap is 1000"
+        " (set F2REP_BIT_CAP to raise it)\n",
+    )
+    assert time.perf_counter() - t0 < 1
+    # Counting and the parity series build no phi, so the set still works there.
+    assert run(capsys, "repr", "--set", "{0,1,30000}", "--n", "90000") == (0, "4\n", "")
+    assert run(capsys, "parity", "--set", "{0,1,30000}", "--series", "8") == (0, "11111111\n", "")
+
+
+def test_scan_preset_with_an_order_bound_is_the_bounded_preset(capsys):
+    code, bounded, _ = run(capsys, "scan", "--preset", "degree14", "--order-bound", "83")
+    assert code == 0
+    assert hashlib.sha256(bounded.encode()).hexdigest() == GOLDEN[("scan", "--preset", "order83")]
+
+
+def test_a_closed_pipe_ends_the_scan_quietly():
+    # `f2rep scan ... | head -1`: the reader leaves after one line.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "f2rep.cli", "scan", "--preset", "degree14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"n,poly,degree,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_unknown_arguments_exit_2(capsys):

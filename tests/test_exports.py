@@ -8,24 +8,35 @@ PUBLIC = {
     "BetaReport", "BitCapExceeded", "DigitSet", "EXACT_ORDER_CEILING", "F2Poly",
     "FIGURE_COLUMNS", "FamilyPrediction", "FamilySpec", "FamilyVerdict", "FigureRow",
     "GapCensusEntry", "GapCheck", "OrderBoundExceeded", "PRESETS",
-    "ParityProfile", "SCAN_COLUMNS", "ScanConfig", "ScanRecord", "ab_lemma_check",
+    "ParityProfile", "SCAN_COLUMNS", "ScanConfig", "ScanRecord",
     "beta", "beta_N", "bit_cap", "build_family", "cofactor", "coordinate_gap_bound_check",
-    "count_representations", "diatomic_row", "divrem", "ell0", "ell1", "ensure_bits",
-    "family_prediction", "figure_data", "from_index", "g_product", "gap_census",
-    "glaisher_sum", "h_closed_form", "is_robust", "modpow_x", "mul", "odd_binomial_count",
-    "one_plus_x_pow", "order", "parity_profile", "parity_series", "parse_poly", "phi",
+    "count_representations", "diatomic_row", "ell0", "ell1", "ensure_bits",
+    "family_prediction", "figure_data", "gap_census",
+    "h_closed_form", "modpow_x", "order", "parity_profile", "parity_series", "parse_poly", "phi",
     "reciprocal", "scan", "stern", "verify_family",
     "write_figure_csv", "write_scan_csv", "write_scan_jsonl",
 }
 
+# Second spellings and test-only helpers that left the API: a * b, divmod(a, b),
+# F2Poly(n) and beta(f).robust stay; the family identities live in tests/reference.py.
+REMOVED = {
+    "mul", "divrem", "from_index", "is_robust", "one_plus_x_pow", "g_product",
+    "ab_lemma_check", "glaisher_sum", "odd_binomial_count",
+}
+
 
 def test_public_names_are_pinned():
-    assert len(f2rep.__all__) == len(PUBLIC)
+    assert len(f2rep.__all__) == len(PUBLIC) == 46
     assert set(f2rep.__all__) == PUBLIC
 
 
 def test_every_public_name_resolves():
     for name in f2rep.__all__:
         assert getattr(f2rep, name) is not None
-    assert f2rep.build_family is f2rep.families.build
+    assert f2rep.build_family is f2rep.families.build_family
     assert not hasattr(f2rep, "build")
+
+
+def test_removed_names_are_gone():
+    modules = (f2rep, f2rep.gf2poly, f2rep.order_beta, f2rep.families)
+    assert not [(m.__name__, n) for m in modules for n in REMOVED if hasattr(m, n)]

@@ -16,9 +16,7 @@ from f2rep import (
     beta_N,
     cofactor,
     coordinate_gap_bound_check,
-    is_robust,
     modpow_x,
-    mul,
     order,
     parse_poly,
     reciprocal,
@@ -271,7 +269,7 @@ def test_reciprocal_has_the_same_order_and_the_reversed_cofactor(g_high, h_high)
 def test_cofactor_multiplies_back(high, j):
     f = F2Poly((high << 1) | 1)
     N = j * order(f)
-    assert mul(f, cofactor(f, N)) == F2Poly(1 | (1 << N))
+    assert f * cofactor(f, N) == F2Poly(1 | (1 << N))
 
 
 def test_beta_worked_examples(f31, f32):
@@ -326,9 +324,9 @@ def test_beta_n_scales_linearly(high, j):
 
 
 def test_is_robust_examples(f31):
-    assert is_robust(f31)
-    assert not is_robust(parse_poly("x^2 + x + 1"))  # beta (2,1): 2 > 2 fails
-    assert not is_robust(parse_poly("x + 1"))
+    assert beta(f31).robust
+    assert not beta(parse_poly("x^2 + x + 1")).robust  # beta (2,1): 2 > 2 fails
+    assert not beta(parse_poly("x + 1")).robust
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,7 +337,7 @@ def test_reciprocal_preserves_order_and_beta(high):
     rf, rg = beta(f), beta(g)
     assert rf.period == rg.period
     assert rf.beta == rg.beta
-    assert is_robust(f) == is_robust(g)
+    assert rf.robust == rg.robust
 
 
 def test_beta_counts_partition_period():

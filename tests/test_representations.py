@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,6 @@ from f2rep import (
     F2Poly,
     count_representations,
     diatomic_row,
-    mul,
     parity_profile,
     parity_series,
     phi,
@@ -19,7 +19,7 @@ from f2rep import (
     stern,
 )
 
-from reference import ref_count_reps, ref_parity_series_via_cofactor, ref_stern
+from reference import ref_count_peeling, ref_count_reps, ref_parity_series_via_cofactor, ref_stern
 
 
 def test_digit_set_validation():
@@ -113,13 +113,13 @@ def test_parity_series_two_routes_agree():
 
 
 def test_parity_series_inverts_phi():
-    # mul(phi, series-as-polynomial) must be 1 + (terms of degree >= N).
+    # phi * series-as-polynomial must be 1 + (terms of degree >= N).
     for digits in [(0, 1, 2), (0, 1, 7, 9), (0, 3, 4)]:
         A = DigitSet(digits)
         N = 200
         bits = parity_series(A, N)
         series = F2Poly(sum(b << i for i, b in enumerate(bits)))
-        assert mul(phi(A), series).bits & ((1 << N) - 1) == 1
+        assert (phi(A) * series).bits & ((1 << N) - 1) == 1
 
 
 def test_parity_profile_examples():
@@ -193,3 +193,29 @@ def test_diatomic_row_reads_off_stern():
     # Row k lists stern(2^k), stern(2^k + 1), ..., stern(2^(k+1)).
     for k in range(8):
         assert diatomic_row(k) == [stern(n) for n in range(1 << k, (1 << (k + 1)) + 1)]
+
+
+def test_count_matches_the_oracles_on_wide_digit_sets():
+    # The carry recurrence keeps up to max(A) + 1 carries a level: digits up to
+    # 200 against brute force on small n, and against digit peeling on big n.
+    rng = random.Random(0xD161)
+    for _ in range(20):
+        digits = (0,) + tuple(sorted(rng.sample(range(1, 201), rng.randrange(1, 4))))
+        A = DigitSet(digits)
+        for n in rng.sample(range(64), 6):
+            assert count_representations(A, n) == ref_count_reps(digits, n), (digits, n)
+        for n in (rng.getrandbits(64), rng.getrandbits(200)):
+            assert count_representations(A, n) == ref_count_peeling(digits, n), (digits, n)
+
+
+def test_count_over_zero_alone():
+    A = DigitSet([0])
+    assert [count_representations(A, n) for n in range(5)] == [1, 0, 0, 0, 0]
+    assert count_representations(A, 1 << 100) == 0
+
+
+def test_count_of_a_wide_set_at_a_30_digit_n():
+    # 8054785087996287 is what the memoized digit-peeling walk gave.
+    t0 = time.perf_counter()
+    assert count_representations(DigitSet((0, 1, 10000)), 10**30) == 8054785087996287
+    assert time.perf_counter() - t0 < 3

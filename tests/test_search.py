@@ -21,7 +21,7 @@ from f2rep import (
     write_scan_jsonl,
 )
 from f2rep import search
-from f2rep.search import _corpus, _make_record, _record
+from f2rep.search import _corpus, _make_record, _order_ceiling, _record
 
 _WEIGHT = {"all": None, "trinomial": 3, "quadrinomial": 4}
 
@@ -270,3 +270,19 @@ def test_partners_in_later_chunks(monkeypatch, shape, bound, jobs):
     monkeypatch.setattr(search, "_CHUNK", 7)
     config = ScanConfig(degree_max=10, shape=shape, order_bound=bound, jobs=jobs)
     assert run(config) == [_make_record(n, *_record(n, bound)) for n in _old_filter(config)]
+
+
+@pytest.mark.parametrize("shape", list(_WEIGHT))
+def test_order_ceiling_bounds_every_order_in_the_corpus(shape):
+    orders = {rec.n: rec.order or 0 for rec in scan(ScanConfig(degree_max=11, shape=shape))}
+    extents = [{"degree_max": d} for d in range(12)]
+    extents += [{"index_max": stop} for stop in (2, 3, 4, 5, 9, 16, 17, 1000, 2049, 4096)]
+    for extent in extents:
+        config = ScanConfig(shape=shape, **extent)
+        top = max((D for n, D in orders.items() if n < config.index_stop), default=0)
+        ceiling = _order_ceiling(config)
+        # Every degree has a primitive polynomial, so the ceiling of `all` is met.
+        assert top == ceiling if shape == "all" else top <= ceiling, extent
+        assert _order_ceiling(ScanConfig(shape=shape, order_bound=83, **extent)) == min(83, ceiling)
+    # (1 + x)^3 is the one quadrinomial of degree 3, and its order 4 exceeds 2^2 - 1.
+    assert _order_ceiling(ScanConfig(degree_max=3, shape="quadrinomial")) == _record(15, None)[0] == 4
