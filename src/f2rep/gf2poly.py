@@ -75,15 +75,19 @@ def _mul_int(a: int, b: int) -> int:
     return acc
 
 
-# A nibble spread to even bit positions; squaring doubles every exponent.
-_SPREAD4 = (0, 1, 4, 5, 16, 17, 20, 21, 64, 65, 68, 69, 80, 81, 84, 85)
-_SPREAD_LO = bytes(_SPREAD4[v & 0xF] for v in range(256))
-_SPREAD_HI = bytes(_SPREAD4[v >> 4] for v in range(256))
+# Each byte spread to even bit positions; squaring doubles every exponent.
+_SPREAD = tuple(int(format(v, "b"), 4) for v in range(256))
+_SPREAD_LO = bytes(s & 0xFF for s in _SPREAD)
+_SPREAD_HI = bytes(s >> 8 for s in _SPREAD)
 
 
 def _square_int(a: int) -> int:
-    if a == 0:
-        return 0
+    """a^2 = a(x^2): table lookups for a below 2^32, byte translates past it."""
+    if a < 0x10000:
+        return _SPREAD[a >> 8] << 16 | _SPREAD[a & 0xFF]
+    if a < 0x100000000:
+        t = _SPREAD
+        return t[a >> 24] << 48 | t[a >> 16 & 0xFF] << 32 | t[a >> 8 & 0xFF] << 16 | t[a & 0xFF]
     n = (a.bit_length() + 7) // 8
     data = a.to_bytes(n, "little")
     out = bytearray(2 * n)
@@ -92,10 +96,9 @@ def _square_int(a: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _divrem_int(a: int, b: int, want_q: bool = True) -> tuple[int, int]:
+def _divrem_int(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of a by b, clearing the leading bit of a with a
-    shifted b until deg a < deg b; want_q False skips building the quotient,
-    and then only the remainder is meaningful."""
+    shifted b until deg a < deg b."""
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
     if b == 1:
@@ -104,9 +107,18 @@ def _divrem_int(a: int, b: int, want_q: bool = True) -> tuple[int, int]:
     q = 0
     while (i := a.bit_length() - db) >= 0:
         a ^= b << i
-        if want_q:
-            q |= 1 << i
+        q |= 1 << i
     return q, a
+
+
+def _mod_int(a: int, b: int) -> int:
+    """a mod b, as _divrem_int without building the quotient."""
+    if b < 2:
+        return _divrem_int(a, b)[1]
+    db = b.bit_length()
+    while (i := a.bit_length() - db) >= 0:
+        a ^= b << i
+    return a
 
 
 def _modpow_x_int(e: int, m: int) -> int:
@@ -115,7 +127,7 @@ def _modpow_x_int(e: int, m: int) -> int:
     top = 1 << dm
     r = 1
     for i in range(e.bit_length() - 1, -1, -1):
-        r = _divrem_int(_square_int(r), m, False)[1]
+        r = _mod_int(_square_int(r), m)
         if (e >> i) & 1:
             r <<= 1
             if r & top:
@@ -124,12 +136,9 @@ def _modpow_x_int(e: int, m: int) -> int:
 
 
 def _gcd_int(a: int, b: int) -> int:
-    """Greatest common divisor by Euclid, reducing with shifted xors."""
+    """Greatest common divisor by Euclid."""
     while b:
-        db = b.bit_length()
-        while a.bit_length() >= db:
-            a ^= b << (a.bit_length() - db)
-        a, b = b, a
+        a, b = b, _mod_int(a, b)
     return a
 
 
@@ -272,7 +281,7 @@ class F2Poly:
     def __mod__(self, other: "F2Poly") -> "F2Poly":
         if not isinstance(other, F2Poly):
             return NotImplemented
-        return F2Poly(_divrem_int(self._bits, other._bits, False)[1])
+        return F2Poly(_mod_int(self._bits, other._bits))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, F2Poly):

@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .gf2poly import F2Poly, _divrem_int, _gcd_int, _modpow_x_int, _mul_int, _square_int, ensure_bits
+from .gf2poly import F2Poly, ensure_bits
+from .gf2poly import _divrem_int, _gcd_int, _mod_int, _modpow_x_int, _mul_int, _square_int
 
 __all__ = [
     "BetaReport",
@@ -102,7 +103,7 @@ def _order_factored_int(fbits: int) -> int:
             # No factor of degree up to half its own: g is irreducible.
             h, k = g, g.bit_length() - 1
         else:
-            r = _divrem_int(_square_int(r), g, False)[1]
+            r = _mod_int(_square_int(r), g)
             # The distinct irreducible factors of degree k are those of x^(2^k) + x.
             h = _gcd_int(g, r ^ 2)
             if h == 1:
@@ -119,7 +120,7 @@ def _order_factored_int(fbits: int) -> int:
             h = _gcd_int(g, h)
             passes += 1
         e = max(e, passes)
-        r = _divrem_int(r, g, False)[1]
+        r = _mod_int(r, g)
     # ord(p^e) = ord(p) * 2^t for the least t with 2^t >= e.
     return D << (e - 1).bit_length()
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, islice
 from typing import TextIO
 
-from .gf2poly import _reciprocal_int, _text_from_int, ensure_bits
+from .gf2poly import _reciprocal_int, _text_from_int, bit_cap, ensure_bits
 from .order_beta import _cofactor_int, _order_int, _stats
 
 __all__ = [
@@ -159,12 +159,15 @@ def _corpus(config: ScanConfig) -> Iterator[int]:
 def _order_ceiling(config: ScanConfig) -> int:
     """The largest order a member of the corpus can have: 2^d - 1 at its top
     degree d, or for quadrinomials, all divisible by 1 + x, 2^(d-1) - 1 (but 4
-    at d = 3, where the one member is (1 + x)^3); at most the order bound."""
-    d = ((config.index_stop - 2) | 1).bit_length() - 1  # degree of the last odd index
-    if config.shape != "quadrinomial":
-        ceiling = (1 << d) - 1
-    else:
-        ceiling = 4 if d == 3 else (1 << max(d - 1, 0)) - 1
+    at d = 3, where the one member is (1 + x)^3); at most the order bound.
+    Past 64 bits and the bit cap's width w, 2^(w+1) - 1 stands in for a
+    2^d - 1 that the cap refuses all the same, so no such int is built."""
+    d = config.degree_max
+    if d is None:
+        d = ((config.index_max - 2) | 1).bit_length() - 1  # degree of the last odd index
+    quad = config.shape == "quadrinomial"
+    e = max(d - 1, 0) if quad else d
+    ceiling = 4 if quad and d == 3 else (1 << min(e, max(64, bit_cap().bit_length()) + 1)) - 1
     return ceiling if config.order_bound is None else min(config.order_bound, ceiling)
 
 
@@ -248,9 +251,10 @@ def gap_census(degree_max: int, jobs: int = 1) -> list[GapCensusEntry]:
     """
     if degree_max < 1:
         raise ValueError("degree_max must be >= 1")
+    cfg = ScanConfig(degree_max=degree_max, jobs=jobs)
+    ensure_bits(_order_ceiling(cfg) + 1)  # refused as a scan is, before any record
     maxima: dict[int, int] = {}
     failed: set[int] = set()
-    cfg = ScanConfig(degree_max=degree_max, jobs=jobs)
     for rec in scan(cfg):
         if rec.status != "ok":
             continue

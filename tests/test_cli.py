@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -411,3 +412,43 @@ def test_emitted_polynomials_reparse(capsys):
         seen.add(parse_poly(out.strip()))
     assert len(seen) == 1
     assert seen.pop().bits.bit_count() == 37
+
+
+@pytest.mark.parametrize(
+    "cap,degree,size",
+    [
+        # Degree 40 may hold orders up to 2^40 - 1; walking it would take 2^39 records.
+        (None, "40", 1 << 40),
+        ("1000", "12", 1 << 12),
+    ],
+)
+def test_gapcheck_over_the_bit_cap_is_refused_before_any_work(capsys, monkeypatch, cap, degree, size):
+    if cap is None:
+        monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
+    else:
+        monkeypatch.setenv("F2REP_BIT_CAP", cap)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "gapcheck", "--degree-max", degree)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: operation needs about {size} coefficient bits but the cap is {cap or 1 << 28}"
+        " (set F2REP_BIT_CAP to raise it)\n"
+    )
+
+
+def test_a_huge_scan_degree_is_refused_from_the_degree_alone(capsys, monkeypatch):
+    # 2^(d+1) for d = 10^8 is a 12.5 MB int: the refusal must not build it.
+    monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "scan", "--degree-max", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: operation needs more than 2^64 coefficient bits but the cap is 268435456"
+        " (set F2REP_BIT_CAP to raise it)\n"
+    )
+    assert peak < 1 << 20

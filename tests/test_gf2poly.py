@@ -15,7 +15,7 @@ from f2rep import (
     parse_poly,
     reciprocal,
 )
-from f2rep.gf2poly import _divrem_int, _mul_int, ensure_bits
+from f2rep.gf2poly import _divrem_int, _mod_int, _mul_int, _square_int, ensure_bits
 
 from reference import bits_of, ref_divmod, ref_mul, ref_reciprocal, ref_xpow_mod
 
@@ -185,6 +185,27 @@ def test_square_spreads_bits():
     assert p * p == parse_poly("x^6 + x^2 + 1")
 
 
+def spread(a: int) -> int:
+    """a^2 over GF(2): the binary digits of a read in base 4."""
+    return int(format(a, "b"), 4)
+
+
+def test_square_int_below_2_16_is_the_spread():
+    assert all(_square_int(a) == spread(a) for a in range(1 << 16))
+
+
+@pytest.mark.parametrize("k", range(71))
+def test_square_int_around_each_power_of_two(k):
+    # Both table paths, their boundaries at 2^16 and 2^32, and the byte path past them.
+    for a in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+        assert _square_int(a) == spread(a)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 40) - 1))
+def test_square_int_is_the_spread(a):
+    assert _square_int(a) == spread(a)
+
+
 # ---------------------------------------------------------------- division
 
 
@@ -243,7 +264,23 @@ def test_long_quotient_division_multiplies_back(a, b):
     q, r = _divrem_int(a, b)
     assert _mul_int(b, q) ^ r == a
     assert r.bit_length() < b.bit_length()
-    assert _divrem_int(a, b, False)[1] == r
+    assert _mod_int(a, b) == r
+
+
+def remainder(a: int, b: int) -> int:
+    return bits_of(ref_divmod(to_set(F2Poly(a)), to_set(F2Poly(b)))[1])
+
+
+def test_mod_int_on_small_operands():
+    for b in range(1, 1 << 6):
+        assert [_mod_int(a, b) for a in range(1 << 8)] == [remainder(a, b) for a in range(1 << 8)]
+    with pytest.raises(ZeroDivisionError):
+        _mod_int(5, 0)
+
+
+@given(any_bits, nonzero_bits)
+def test_mod_int_matches_reference(a, b):
+    assert _mod_int(a, b) == remainder(a, b)
 
 
 # ---------------------------------------------------------------- modpow

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from f2rep import (
+    BitCapExceeded,
     PRESETS,
     SCAN_COLUMNS,
     ScanConfig,
@@ -286,3 +287,22 @@ def test_order_ceiling_bounds_every_order_in_the_corpus(shape):
         assert _order_ceiling(ScanConfig(shape=shape, order_bound=83, **extent)) == min(83, ceiling)
     # (1 + x)^3 is the one quadrinomial of degree 3, and its order 4 exceeds 2^2 - 1.
     assert _order_ceiling(ScanConfig(degree_max=3, shape="quadrinomial")) == _record(15, None)[0] == 4
+
+
+def test_order_ceiling_past_the_cap_width_stands_in_a_smaller_refused_power(monkeypatch):
+    monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
+    assert _order_ceiling(ScanConfig(degree_max=65)) == (1 << 65) - 1  # exact up to 65 bits
+    assert _order_ceiling(ScanConfig(degree_max=10**8)) == (1 << 65) - 1
+    assert _order_ceiling(ScanConfig(degree_max=10**8, shape="quadrinomial")) == (1 << 65) - 1
+    assert _order_ceiling(ScanConfig(index_max=1 << 10**6)) == (1 << 65) - 1
+    assert _order_ceiling(ScanConfig(degree_max=10**8, order_bound=83)) == 83
+    monkeypatch.setenv("F2REP_BIT_CAP", str(1 << 100))  # a 101-bit cap
+    assert _order_ceiling(ScanConfig(degree_max=102)) == (1 << 102) - 1
+    assert _order_ceiling(ScanConfig(degree_max=10**8)) == (1 << 102) - 1
+
+
+def test_gap_census_over_the_bit_cap_is_refused_before_any_record(monkeypatch):
+    monkeypatch.setattr(search, "scan", lambda *a: pytest.fail("scanned"))
+    monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
+    with pytest.raises(BitCapExceeded, match="needs about 1099511627776 coefficient bits"):
+        gap_census(40)
