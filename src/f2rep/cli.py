@@ -12,6 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
+from itertools import islice
 
 from .families import (
     FamilySpec,
@@ -23,10 +24,10 @@ from .gf2poly import BitCapExceeded, F2Poly, ensure_bits, parse_poly
 from .order_beta import OrderBoundExceeded, beta, beta_N, cofactor, order
 from .representations import (
     DigitSet,
+    _diatomic_terms,
+    _parity_terms,
     count_representations,
-    diatomic_row,
     parity_profile,
-    parity_series,
     stern,
 )
 from .search import (
@@ -65,6 +66,15 @@ def _output(path: str | None, corpus: ScanConfig):
     else:
         with open(path, "w") as out:
             yield out
+
+
+def _print_terms(terms, sep: str) -> None:
+    """print(sep.join(map(str, terms))), a slice at a time, so memory stays flat."""
+    lead = ""
+    while chunk := list(islice(terms, 4096)):
+        sys.stdout.write(lead + sep.join(map(str, chunk)))
+        lead = sep
+    sys.stdout.write("\n")
 
 
 def _progress_printer(done: int, total: int) -> None:
@@ -137,8 +147,8 @@ def _cmd_family_range(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.preset is not None:
-        if args.index_max is not None or args.degree_max is not None:
-            raise ValueError("give either --preset or an explicit extent, not both")
+        if (args.index_max, args.degree_max, args.shape) != (None, None, None):
+            raise ValueError("give either --preset or --index-max/--degree-max/--shape, not both")
         cfg = PRESETS[args.preset]
         if args.order_bound is not None:
             cfg = replace(cfg, order_bound=args.order_bound)
@@ -146,7 +156,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         cfg = ScanConfig(
             index_max=args.index_max,
             degree_max=args.degree_max,
-            shape=args.shape,
+            shape=args.shape or "all",
             order_bound=args.order_bound,
         )
     else:
@@ -176,7 +186,7 @@ def _cmd_repr(args: argparse.Namespace) -> int:
 def _cmd_parity(args: argparse.Namespace) -> int:
     A = DigitSet.parse(args.set)
     if args.series is not None:
-        print("".join(map(str, parity_series(A, args.series))))
+        _print_terms(_parity_terms(A, args.series), "")
         return 0
     prof = parity_profile(A)
     residues = ",".join(map(str, prof.odd_residues))
@@ -190,7 +200,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
 
 def _cmd_stern(args: argparse.Namespace) -> int:
     if args.row is not None:
-        print(" ".join(map(str, diatomic_row(args.row))))
+        _print_terms(_diatomic_terms(args.row), " ")
     else:
         print(stern(args.n))
     return 0
@@ -246,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=tuple(PRESETS))
     p.add_argument("--index-max", type=int)
     p.add_argument("--degree-max", type=int)
-    p.add_argument("--shape", choices=("all", "trinomial", "quadrinomial"), default="all")
+    p.add_argument("--shape", choices=("all", "trinomial", "quadrinomial"))
     p.add_argument("--order-bound", type=int)
     p.add_argument("--robust-only", action="store_true")
     fmt = p.add_mutually_exclusive_group()
@@ -298,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         # Reader closed the pipe; silence the interpreter's exit-time flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, ZeroDivisionError, OrderBoundExceeded, BitCapExceeded) as exc:
+    except (ValueError, ZeroDivisionError, OrderBoundExceeded, BitCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

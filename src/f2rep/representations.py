@@ -14,6 +14,7 @@ its diatomic rows are provided for cross-reading.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add
 
@@ -121,21 +122,27 @@ def parity_series(A: DigitSet, N: int) -> list[int]:
     Inverting phi as a power series says bit n is the xor of the bits at
     offsets n - a over the nonzero digits a; no counts are materialized.
     """
+    return list(_parity_terms(A, N))
+
+
+def _parity_terms(A: DigitSet, N: int) -> Iterator[int]:
+    """parity_series a bit at a time, keeping only the bits back to the
+    widest tap a < N, zeros before bit 0, with the newest last."""
     if N < 0:
         raise ValueError("N must be non-negative")
     ensure_bits(N)
-    taps = [a for a in A.digits if a > 0]
-    bits = [0] * N
-    if N > 0:
-        bits[0] = 1
-    for n in range(1, N):
-        acc = 0
+    taps = [a for a in A.digits[1:] if a < N]
+    width = taps[-1] if taps else 0
+    recent = bytearray(width)
+    bit = 1
+    for _ in range(N):
+        yield bit
+        recent.append(bit)
+        bit = 0
         for a in taps:
-            if a > n:
-                break
-            acc ^= bits[n - a]
-        bits[n] = acc
-    return bits
+            bit ^= recent[-a]
+        if len(recent) > width + 4096:
+            del recent[: len(recent) - width]
 
 
 def parity_profile(A: DigitSet) -> ParityProfile:
@@ -169,15 +176,17 @@ def diatomic_row(k: int) -> list[int]:
     """Row k of the diatomic array: row 0 is (1, 1) and each next row keeps
     its parent's entries, inserting the sum of every adjacent pair between
     them, for 2^k + 1 entries in row k."""
+    return list(_diatomic_terms(k))
+
+
+def _diatomic_terms(k: int) -> Iterator[int]:
+    """diatomic_row an entry at a time.  Row k is s(2^k), ..., s(2^(k+1)) of
+    stern, stepped from s(2^k - 1) = k by s(n+1) = s(n-1) + s(n) - 2 (s(n-1) mod s(n))."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > 26:
         raise ValueError("row of length 2^k + 1 would not fit in memory")
-    row = [1, 1]
-    for _ in range(k):
-        nxt = [1]
-        for i in range(1, len(row)):
-            nxt.append(row[i - 1] + row[i])
-            nxt.append(row[i])
-        row = nxt
-    return row
+    prev, cur = k, 1
+    for _ in range((1 << k) + 1):
+        yield cur
+        prev, cur = cur, prev + cur - 2 * (prev % cur)

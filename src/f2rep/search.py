@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -189,10 +190,11 @@ def _scan_chunk(task: tuple[int | None, tuple[int, ...]]) -> tuple[tuple[int, ..
 def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     """fn over items, results in item order.
 
-    jobs <= 1 runs in this process; otherwise a pool of `jobs` workers takes
-    one item at a time, so one costly item never shares a worker's chunk,
-    and at most 8 * jobs items are in flight, so a lazy input is not drained.
+    Workers are capped at the core count.  A single one runs in this process;
+    a pool takes one item at a time, so one costly item never shares a
+    worker's chunk, and at most 8 * jobs are in flight, so a lazy input is not drained.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         yield from map(fn, items)
         return
@@ -276,24 +278,17 @@ SCAN_COLUMNS = (
 
 FIGURE_COLUMNS = ("n", "gamma_num", "gamma_den", "gamma_decimal")
 
+_JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per line
 
-def _scan_values(rec: ScanRecord) -> dict[str, object]:
+
+def _scan_row(rec: ScanRecord) -> tuple:
+    """The record's values in SCAN_COLUMNS order, gamma split in two."""
     g = rec.gamma
-    return {
-        "n": rec.n,
-        "poly": rec.poly,
-        "degree": rec.degree,
-        "order": rec.order,
-        "order_exact": rec.order_exact,
-        "ell1": rec.ell1,
-        "ell0": rec.ell0,
-        "gamma_num": None if g is None else g.numerator,
-        "gamma_den": None if g is None else g.denominator,
-        "robust": rec.robust,
-        "gap": rec.gap,
-        "bound_ok": rec.bound_ok,
-        "status": rec.status,
-    }
+    num, den = (None, None) if g is None else (g.numerator, g.denominator)
+    return (
+        rec.n, rec.poly, rec.degree, rec.order, rec.order_exact, rec.ell1, rec.ell0,
+        num, den, rec.robust, rec.gap, rec.bound_ok, rec.status,
+    )
 
 
 def _csv_cell(v: object) -> str:
@@ -309,13 +304,12 @@ def _csv_cell(v: object) -> str:
 def write_scan_csv(records: Iterable[ScanRecord], out: TextIO) -> None:
     out.write(",".join(SCAN_COLUMNS) + "\n")
     for rec in records:
-        vals = _scan_values(rec)
-        out.write(",".join(_csv_cell(vals[c]) for c in SCAN_COLUMNS) + "\n")
+        out.write(",".join(map(_csv_cell, _scan_row(rec))) + "\n")
 
 
 def write_scan_jsonl(records: Iterable[ScanRecord], out: TextIO) -> None:
     for rec in records:
-        out.write(json.dumps(_scan_values(rec), separators=(",", ":")) + "\n")
+        out.write(_JSON.encode(dict(zip(SCAN_COLUMNS, _scan_row(rec)))) + "\n")
 
 
 def write_figure_csv(rows: Iterable[FigureRow], out: TextIO) -> None:

@@ -1,8 +1,9 @@
 """Slow, simple reference implementations used only as test oracles, and
 the identities of the paper's family proofs, written out for direct checking.
 
-Nearly every oracle works on plain sets of exponents, plain int shifts or
-direct recursion, so none of the bit-packed production code is involved.
+Nearly every oracle works on plain sets of exponents, plain lists, plain
+int shifts or direct recursion, so none of the bit-packed production code is
+involved.
 Two exceptions build on f2rep.  ref_cofactor keeps the exact long division
 the cofactor used to be taken with; that division kernel is itself checked
 against ref_divmod.  ref_parity_series_via_cofactor tiles the cofactor of
@@ -107,6 +108,23 @@ def ref_parity_series_via_cofactor(A, N: int) -> list[int]:
     return (block * reps)[:N]
 
 
+def ref_parity_series(A, N: int) -> list[int]:
+    """The first N count parities of digit set A, each the xor of the earlier
+    bits at offsets n - a over the nonzero digits a, kept in one list."""
+    taps = [a for a in A.digits if a > 0]
+    bits = [0] * N
+    if N > 0:
+        bits[0] = 1
+    for n in range(1, N):
+        acc = 0
+        for a in taps:
+            if a > n:
+                break
+            acc ^= bits[n - a]
+        bits[n] = acc
+    return bits
+
+
 def ref_h_closed_form(r: int, variant: int) -> int:
     """The family closed form, one shifted binomial block at a time."""
     two_r = 1 << r
@@ -166,6 +184,19 @@ def ref_stern(n: int) -> int:
     if n % 2 == 0:
         return ref_stern(n // 2)
     return ref_stern(n // 2) + ref_stern(n // 2 + 1)
+
+
+def ref_diatomic_row(k: int) -> list[int]:
+    """Row k of the diatomic array by insertion: each row keeps its parent's
+    entries and puts the sum of every adjacent pair between them."""
+    row = [1, 1]
+    for _ in range(k):
+        nxt = [1]
+        for i in range(1, len(row)):
+            nxt.append(row[i - 1] + row[i])
+            nxt.append(row[i])
+        row = nxt
+    return row
 
 
 def ref_odd_binomials(n: int) -> int:

@@ -4,14 +4,10 @@ Run `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
 criterion.  Every comparison is exact (integers and rationals throughout);
 the elapsed-time assertions sit at the documented budgets, far above the
 observed runtimes, to catch catastrophic performance regressions only.
-
-Criterion 4 checks the parametric families for 3 <= r <= 8 by default; set
-F2REP_FAMILY_R_MAX=10 to extend to the full verified range.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from contextlib import contextmanager
@@ -103,10 +99,8 @@ def test_c03_reciprocal_invariance():
 
 
 def test_c04_family_theorems():
-    r_max = min(int(os.environ.get("F2REP_FAMILY_R_MAX", "8")), 10)
-    budget = 60 if r_max <= 8 else 600
-    with criterion(f"C4 family theorems for 3 <= r <= {r_max}, all four members", budget):
-        for r in range(3, r_max + 1):
+    with criterion("C4 family theorems for 3 <= r <= 10, all four members", 60):
+        for r in range(3, 11):
             for variant in (1, 2):
                 for recip in (False, True):
                     v = verify_family(FamilySpec(r, variant, recip))

@@ -9,12 +9,14 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from f2rep import cli, parse_poly
+from f2rep import DigitSet, cli, parse_poly, search
 from f2rep.cli import main
 
+from reference import ref_diatomic_row, ref_parity_series
 from test_golden import GOLDEN
 
 
@@ -125,6 +127,79 @@ def test_scan_rejects_preset_plus_extent(capsys):
     code, _, err = run(capsys, "scan", "--preset", "degree14", "--index-max", "100")
     assert code == 1
     assert "not both" in err
+
+
+@pytest.mark.parametrize(
+    "preset,shape", [("degree14", "trinomial"), ("trinomials19", "quadrinomial")]
+)
+def test_scan_rejects_preset_plus_shape(capsys, preset, shape):
+    code, out, err = run(capsys, "scan", "--preset", preset, "--shape", shape)
+    assert (code, out) == (1, "")
+    assert err == "error: give either --preset or --index-max/--degree-max/--shape, not both\n"
+
+
+@pytest.mark.parametrize("command", ["scan", "figure"])
+def test_an_out_path_that_cannot_be_opened_is_one_error_line(capsys, tmp_path, command):
+    if command == "scan":
+        argv = ["scan", "--preset", "trinomials19", "--out", str(tmp_path / "missing" / "x.csv")]
+    else:
+        argv = ["figure", "--max", "64", "--out", str(tmp_path)]  # a directory
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_jobs_are_capped_at_the_core_count(capsys, monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def apply_async(self, fn, args):
+            result = fn(*args)
+            return SimpleNamespace(get=lambda: result)
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = run(capsys, "scan", "--degree-max", "3")
+    assert run(capsys, "scan", "--degree-max", "3", "--jobs", "100000") == serial
+    assert sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one, in this process
+    assert run(capsys, "scan", "--degree-max", "3", "--jobs", "2") == serial
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("stern", "--row", "17"), lambda: " ".join(map(str, ref_diatomic_row(17)))),
+        (
+            ("parity", "--set", "{0,1,2}", "--series", str(1 << 17)),
+            lambda: "".join(map(str, ref_parity_series(DigitSet([0, 1, 2]), 1 << 17))),
+        ),
+    ],
+)
+def test_long_sequences_are_written_in_flat_memory(monkeypatch, tmp_path, argv, expected):
+    # 2^17 terms held as lists of ints and strs peak past 9 MB; a stream holds one slice.
+    path = tmp_path / "out.txt"
+    with open(path, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert path.read_text() == expected() + "\n"
 
 
 def test_scan_progress_goes_to_stderr(capsys):

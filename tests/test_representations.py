@@ -19,7 +19,14 @@ from f2rep import (
     stern,
 )
 
-from reference import ref_count_peeling, ref_count_reps, ref_parity_series_via_cofactor, ref_stern
+from reference import (
+    ref_count_peeling,
+    ref_count_reps,
+    ref_diatomic_row,
+    ref_parity_series,
+    ref_parity_series_via_cofactor,
+    ref_stern,
+)
 
 
 def test_digit_set_validation():
@@ -105,6 +112,16 @@ def test_parity_series_matches_counts():
             assert bits[n] == count_representations(A, n) % 2
 
 
+@pytest.mark.parametrize(
+    "digits",
+    [(0,), (0, 1), (0, 1, 2), (0, 1, 7, 9), (0, 3, 100, 1000), (0, 64, 65), (0, 1, 10**12)],
+)
+def test_parity_series_matches_the_list_recurrence(digits):
+    A = DigitSet(digits)
+    for N in (0, 1, 2, 65, 10000):
+        assert parity_series(A, N) == ref_parity_series(A, N)
+
+
 def test_parity_series_two_routes_agree():
     for digits in [(0, 1, 2), (0, 1, 7, 9), (0, 2, 3), (0, 1, 4, 6)]:
         A = DigitSet(digits)
@@ -174,6 +191,11 @@ def test_diatomic_rows():
         diatomic_row(-1)
     with pytest.raises(ValueError):
         diatomic_row(27)
+
+
+def test_diatomic_rows_match_insertion():
+    for k in range(17):
+        assert diatomic_row(k) == ref_diatomic_row(k)
 
 
 def test_diatomic_row_structure():
