@@ -7,9 +7,11 @@ counts (4^r - 3^r + 2^r, 3^r + 1).  Each member has a coefficient-reversed
 sibling with identical statistics.  Robustness is a theorem only for r >= 3;
 smaller r still builds and verifies but is reported as measured.
 
-verify_family checks a member against its predictions, and against the
-closed form of its cofactor that h_closed_form builds from a doubling
-product rather than by division.
+verify_family proves each member's predicted period N with one product:
+h_closed_form builds the cofactor h from a doubling product, and
+f h == 1 + x^N shows that N is a period and, a cofactor being unique, that h
+is its cofactor.  A reciprocal member takes h reversed, since
+rev f rev h = rev(1 + x^N).  Newton inversion runs only if the product fails.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2poly import BitCapExceeded, F2Poly, bit_cap, ensure_bits
+from .gf2poly import BitCapExceeded, F2Poly, _mul_int, _reciprocal_int, bit_cap, ensure_bits
 from .order_beta import _exact, _stats, cofactor
 
 __all__ = [
@@ -121,7 +123,8 @@ def _admit(spec: FamilySpec, allow_large_r: bool) -> None:
     if spec.r > EXACT_ORDER_CEILING and not allow_large_r:
         raise ValueError(
             f"r={spec.r} is above the exact-order ceiling {EXACT_ORDER_CEILING}; "
-            "pass allow_large_r=True if you accept the 4^r time and memory cost"
+            "pass --allow-large-r (allow_large_r=True in Python) if you accept"
+            " the 4^r time and memory cost"
         )
     cap = bit_cap()
     if spec.r >= cap.bit_length():
@@ -136,20 +139,23 @@ def _admit(spec: FamilySpec, allow_large_r: bool) -> None:
 def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVerdict:
     """Check one family member against its predictions.
 
-    Raises unless the predicted period is one.  The verdict records whether
-    it is the exact order, whether the measured cofactor counts match the
-    predicted (c, d), whether the closed-form cofactor agrees with the
-    Newton-inverted cofactor (non-reciprocal members only), and the measured
-    robustness.  r above EXACT_ORDER_CEILING needs allow_large_r=True.
+    The closed-form cofactor h (reversed for a reciprocal member) is proved
+    by one product f h == 1 + x^N at the predicted period N.  If the product
+    fails, Newton inversion computes the cofactor instead, and raises unless N
+    is a period.  The verdict records whether N is the exact order, whether
+    the cofactor counts match the predicted (c, d), whether the closed form
+    held (non-reciprocal members only), and the measured robustness.  r above
+    EXACT_ORDER_CEILING needs allow_large_r=True.
     """
     _admit(spec, allow_large_r)
     pred = family_prediction(spec)
     f = build_family(spec)
-    q = cofactor(f, pred.period).bits  # raises unless the predicted period is one
+    h = h_closed_form(spec.r, spec.variant).bits
+    if spec.reciprocal:
+        h = _reciprocal_int(h)
+    proved = _mul_int(f.bits, h) == (1 << pred.period) | 1
+    q = h if proved else cofactor(f, pred.period).bits  # raises unless N is a period
     ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), pred.period, f.degree)
-    closed = None
-    if not spec.reciprocal:
-        closed = h_closed_form(spec.r, spec.variant).bits == q
     return FamilyVerdict(
         spec=spec,
         period=pred.period,
@@ -157,6 +163,6 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
         beta=(ones, zeros),
         gamma=gamma,
         matches_prediction=(ones, zeros) == (pred.c, pred.d),
-        closed_form_matches=closed,
+        closed_form_matches=None if spec.reciprocal else proved,
         robust=robust,
     )

@@ -142,8 +142,15 @@ def _gcd_int(a: int, b: int) -> int:
     return a
 
 
+# Each byte with its eight bits in reverse order.
+_REV8 = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
 def _reciprocal_int(a: int) -> int:
-    return int(format(a, "b")[::-1], 2)
+    """The bits of a reversed within its bit length, a byte table at a time."""
+    w = a.bit_length()
+    n = (w + 7) // 8
+    return int.from_bytes(a.to_bytes(n, "big").translate(_REV8), "little") >> (8 * n - w)
 
 
 def _text_from_int(bits: int) -> str:

@@ -185,7 +185,7 @@ def _diatomic_terms(k: int) -> Iterator[int]:
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > 26:
-        raise ValueError("row of length 2^k + 1 would not fit in memory")
+        raise ValueError("row k has 2^k + 1 entries; k above 26 is refused")
     prev, cur = k, 1
     for _ in range((1 << k) + 1):
         yield cur

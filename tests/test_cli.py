@@ -343,6 +343,17 @@ def test_family_verify_far_past_the_bit_cap_names_the_cap(capsys, monkeypatch):
     assert "the cap is 268435456" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("family", "verify", "--r", "11", "--variant", "1"), ("family", "range", "--r-max", "11")],
+    ids=["verify", "range"],
+)
+def test_family_over_the_ceiling_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: r=11 is above the exact-order ceiling 10; pass --allow-large-r")
+
+
 def test_family_range_with_a_huge_r_max_stops_at_the_first_refused_member(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "verify_family", lambda *a, **k: calls.append(a))

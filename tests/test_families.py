@@ -24,6 +24,7 @@ from f2rep import (
     verify_family,
 )
 from f2rep import families
+from f2rep.gf2poly import _reciprocal_int
 
 from reference import (
     ab_lemma_check,
@@ -231,6 +232,40 @@ def test_verify_family_refuses_a_predicted_period_that_is_not_one(monkeypatch):
     monkeypatch.setattr(families, "family_prediction", lambda spec: wrong)
     with pytest.raises(ValueError, match=f"not a period: the polynomial does not divide 1 \\+ x\\^{wrong.period}"):
         verify_family(FamilySpec(3, 1))
+
+
+def test_verify_family_proves_the_closed_form_without_newton(monkeypatch):
+    monkeypatch.setattr(families, "cofactor", lambda f, N: pytest.fail("Newton ran"))
+    for r in range(1, EXACT_ORDER_CEILING + 1):
+        for variant in (1, 2):
+            for recip in (False, True):
+                v = verify_family(FamilySpec(r, variant, recip))
+                assert v.matches_prediction and v.order_exact, (r, variant, recip)
+                assert v.closed_form_matches is (None if recip else True)
+
+
+def test_a_wrong_closed_form_falls_back_to_newton(monkeypatch):
+    specs = [FamilySpec(r, v, recip) for r in range(1, 7) for v in (1, 2) for recip in (False, True)]
+    truth = {spec: verify_family(spec) for spec in specs}
+    right = families.h_closed_form
+    monkeypatch.setattr(families, "h_closed_form", lambda r, variant: F2Poly(right(r, variant).bits ^ 2))
+    newton = []
+    real = families.cofactor
+    monkeypatch.setattr(families, "cofactor", lambda f, N: newton.append(N) or real(f, N))
+    for spec in specs:
+        v = verify_family(spec)
+        assert v.closed_form_matches is (None if spec.reciprocal else False)
+        assert (v.beta, v.order_exact) == (truth[spec].beta, truth[spec].order_exact)
+        assert v.matches_prediction
+    assert len(newton) == len(specs)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("variant", [1, 2])
+def test_reversed_closed_form_is_the_reciprocal_members_cofactor(r, variant):
+    spec = FamilySpec(r, variant, True)
+    period = family_prediction(spec).period
+    assert _reciprocal_int(h_closed_form(r, variant).bits) == cofactor(build_family(spec), period).bits
 
 
 def test_admission_refuses_a_huge_r_before_predicting(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from f2rep import (
     parse_poly,
     reciprocal,
 )
-from f2rep.gf2poly import _divrem_int, _mod_int, _mul_int, _square_int, ensure_bits
+from f2rep.gf2poly import _divrem_int, _mod_int, _mul_int, _reciprocal_int, _square_int, ensure_bits
 
 from reference import bits_of, ref_divmod, ref_mul, ref_reciprocal, ref_xpow_mod
 
@@ -336,7 +338,7 @@ def test_reciprocal_rejects_zero():
         reciprocal(F2Poly(0))
 
 
-@given(nonzero_bits)
+@given(st.integers(min_value=1, max_value=(1 << 4096) - 1))
 def test_reciprocal_matches_reference(a):
     p = F2Poly(a)
     assert to_set(reciprocal(p)) == ref_reciprocal(to_set(p))
@@ -346,6 +348,33 @@ def test_reciprocal_matches_reference(a):
 def test_reciprocal_involutive_with_constant_term(a):
     p = F2Poly((a << 1) | 1)
     assert reciprocal(reciprocal(p)) == p
+
+
+def _ref_reciprocal_int(a: int) -> int:
+    return bits_of(ref_reciprocal(to_set(F2Poly(a))))
+
+
+def test_reciprocal_int_every_operand_below_2_16():
+    assert _reciprocal_int(0) == 0
+    for a in range(1, 1 << 16):
+        assert _reciprocal_int(a) == _ref_reciprocal_int(a), a
+
+
+@pytest.mark.parametrize("k", range(81))
+def test_reciprocal_int_around_powers_of_two(k):
+    for a in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+        if a:
+            assert _reciprocal_int(a) == _ref_reciprocal_int(a)
+
+
+def test_reciprocal_int_of_a_megabit_operand():
+    rng = random.Random(20)
+    w = (1 << 20) + 13
+    a = rng.getrandbits(w) | 1 << (w - 1) | 1
+    rev = _reciprocal_int(a)
+    assert rev.bit_length() == w and _reciprocal_int(rev) == a
+    for i in rng.sample(range(w), 200):
+        assert (rev >> i) & 1 == (a >> (w - 1 - i)) & 1
 
 
 # ---------------------------------------------------------------- weights

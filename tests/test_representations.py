@@ -189,7 +189,7 @@ def test_diatomic_rows():
     assert diatomic_row(3) == [1, 4, 3, 5, 2, 5, 3, 4, 1]
     with pytest.raises(ValueError):
         diatomic_row(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row k has 2\\^k \\+ 1 entries; k above 26 is refused"):
         diatomic_row(27)
 
 
