@@ -41,9 +41,12 @@ def bit_cap() -> int:
     if raw is None:
         return _DEFAULT_BIT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"F2REP_BIT_CAP must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"F2REP_BIT_CAP must be at least 1, got {raw!r}")
+    return cap
 
 
 def ensure_bits(nbits: int) -> None:

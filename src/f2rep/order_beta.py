@@ -2,7 +2,9 @@
 
 For f with f(0) = 1 there is a least D >= 1, the order, with f dividing
 1 + x^D, and D never exceeds 2^deg(f) - 1.  D comes from the distinct-degree
-factorization of f (Lidl & Niederreiter, Finite Fields, Thms 3.3, 3.8, 3.9).
+factorization of f (Lidl & Niederreiter, Finite Fields, Thms 3.3, 3.8, 3.9),
+or, for every polynomial up to a degree at once, from a smallest-factor sieve
+that builds each order from those of its factors.
 The cofactor f* = (1 + x^D)/f drives everything downstream: beta(f) counts
 its ones and zeros across one period window, gamma is the ones density as an
 exact fraction, and f is robust when the ones outnumber the zeros by more
@@ -11,12 +13,14 @@ than one.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .gf2poly import F2Poly, ensure_bits
+from .gf2poly import F2Poly, _reciprocal_int, ensure_bits
 from .gf2poly import _divrem_int, _gcd_int, _mod_int, _modpow_x_int, _mul_int, _square_int
 
 __all__ = [
@@ -108,11 +112,7 @@ def _order_factored_int(fbits: int) -> int:
             h = _gcd_int(g, r ^ 2)
             if h == 1:
                 continue
-        M = (1 << k) - 1
-        for p in _prime_factors(M):
-            while M % p == 0 and _modpow_x_int(M // p, h) == 1:
-                M //= p
-        D = lcm(D, M)
+        D = lcm(D, _irreducible_order(h, k))
         # Each pass strips one more copy of every factor that still has one.
         passes = 0
         while h != 1:
@@ -123,6 +123,65 @@ def _order_factored_int(fbits: int) -> int:
         r = _mod_int(r, g)
     # ord(p^e) = ord(p) * 2^t for the least t with 2^t >= e.
     return D << (e - 1).bit_length()
+
+
+def _irreducible_order(h: int, k: int) -> int:
+    """Order of h, a product of distinct irreducibles of degree k: what is
+    left of 2^k - 1 after stripping each prime p while x^(M/p) = 1 mod h."""
+    M = (1 << k) - 1
+    for p in _prime_factors(M):
+        while M % p == 0 and _modpow_x_int(M // p, h) == 1:
+            M //= p
+    return M
+
+
+def _dense_orders() -> Iterator[array]:
+    """The orders of every odd polynomial up to degree d, for d = 0, 1, 2, ...
+    in turn: one table indexed by n >> 1, grown a degree per step (0 for the
+    constant 1, which has none).
+
+    A smallest-factor sieve: each irreducible p of degree k <= d/2 marks
+    n = p q for every odd q of degree d - k, and the first (smallest) p to
+    reach n keeps it.  The multiplicity m of p in n is one more than in q
+    when p is also q's smallest factor, else 1, and ord n = lcm(ord q,
+    ord p * 2^t) for the least t with 2^t >= m, as ord(p^(m-1)) | ord(p^m).
+    An unmarked n is irreducible: it copies the order of rev n < n, or takes
+    it from 2^d - 1.  "H" holds each p to d = 31, "L" each order to d = 32.
+    """
+    spf = array("H", [0])  # the smallest factor p of n, 0 while n is irreducible
+    mult = bytearray([1])  # the multiplicity of p in n
+    orders = array("L", [0])
+    d = 0
+    while True:
+        yield orders
+        d += 1
+        half = 1 << (d - 1)  # the odd n of degree d sit at n >> 1 in [half, 2 half)
+        spf.frombytes(bytes(half * spf.itemsize))
+        orders.frombytes(bytes(half * orders.itemsize))
+        mult.extend(b"\1" * half)
+        for k in range(1, d // 2 + 1):
+            base = (1 << (d - k)) | 1
+            for p in range((1 << k) | 1, 2 << k, 2):
+                if spf[p >> 1]:
+                    continue
+                op = orders[p >> 1]
+                # q walks its middle bits in Gray code order, one flip a step,
+                # so that p q moves by one shifted p and needs no product.
+                q, pq = base, _mul_int(p, base)
+                for t in range(1, (1 << (d - k - 1)) + 1):
+                    i = pq >> 1
+                    if not spf[i]:
+                        j = q >> 1
+                        m = mult[j] + 1 if (spf[j] or q) == p else 1
+                        spf[i], mult[i] = p, m
+                        orders[i] = lcm(orders[j], op << (m - 1).bit_length())
+                    b = (t & -t).bit_length()
+                    q ^= 1 << b
+                    pq ^= p << b
+        for n in range((1 << d) | 1, 2 << d, 2):
+            if not spf[n >> 1]:
+                r = _reciprocal_int(n)
+                orders[n >> 1] = orders[r >> 1] if r < n else _irreducible_order(n, d)
 
 
 def order(f: F2Poly, scan_bound: int | None = None) -> int:

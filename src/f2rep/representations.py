@@ -147,6 +147,11 @@ def _parity_terms(A: DigitSet, N: int) -> Iterator[int]:
 
 def parity_profile(A: DigitSet) -> ParityProfile:
     """Exact parity period of the counts and the odd residues within it."""
+    if A.digits == (0,):
+        raise ValueError(
+            f"digit set {A} has phi = 1: f(0) = 1 and f(n) = 0 for every n >= 1,"
+            " so its count parity is not purely periodic"
+        )
     p = phi(A)
     D = order(p)
     fstar = cofactor(p, D)

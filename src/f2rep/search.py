@@ -22,10 +22,11 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, islice
+from math import inf
 from typing import TextIO
 
 from .gf2poly import _reciprocal_int, _text_from_int, bit_cap, ensure_bits
-from .order_beta import _cofactor_int, _order_int, _stats
+from .order_beta import _cofactor_int, _dense_orders, _order_int, _stats
 
 __all__ = [
     "ScanConfig",
@@ -45,6 +46,9 @@ __all__ = [
 
 _SHAPES = ("all", "trinomial", "quadrinomial")
 _CHUNK = 2048
+# The top degree whose orders come from the sieve: its tables, 11 bytes per
+# odd polynomial, reach 1.4 MB at degree 17 and take 0.6 s to build.
+_DENSE_MAX = 17
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,11 @@ PRESETS: dict[str, ScanConfig] = {
 
 def _record(n: int, order_bound: int | None) -> tuple[int | None, int | None]:
     """(order D, cofactor one-count) of n, or (None, None) when n has no order."""
-    D = None if n == 1 else _order_int(n, order_bound)
+    return _counted(n, None if n == 1 else _order_int(n, order_bound))
+
+
+def _counted(n: int, D: int | None) -> tuple[int | None, int | None]:
+    """(D, cofactor one-count) of n at its order D, or (None, None) when D is None."""
     if D is None:
         return None, None
     ensure_bits(D + 1)
@@ -172,19 +180,39 @@ def _order_ceiling(config: ScanConfig) -> int:
     return ceiling if config.order_bound is None else min(config.order_bound, ceiling)
 
 
-def _chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...]]]:
+def _chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...], tuple | None]]:
     """The corpus in chunks of at most _CHUNK members of one degree, so that a
     chunk never waits on orders of a higher degree.  Reversal keeps the degree,
-    so the partner m = rev n > n of a member lies in its chunk or a later one."""
-    for _, same_degree in groupby(_corpus(config), int.bit_length):
+    so the partner m = rev n > n of a member lies in its chunk or a later one.
+
+    The one place that chooses how orders are found: up to degree _DENSE_MAX
+    a corpus of shape all holds every factor of its members, so the sieve,
+    grown as the corpus reaches each degree, gives a chunk its members'
+    orders (None past the bound, and for 1).  Other chunks carry None, and
+    their worker factors each member."""
+    bound = config.order_bound
+    top = inf if bound is None else bound
+    sieve = _dense_orders() if config.shape == "all" else None
+    for w, same_degree in groupby(_corpus(config), int.bit_length):
+        if w > _DENSE_MAX + 1:
+            sieve = None  # frees the tables
+        table = None if sieve is None else next(sieve)
         while chunk := tuple(islice(same_degree, _CHUNK)):
-            yield config.order_bound, chunk
+            orders = None if table is None else tuple(
+                D if 0 < D <= top else None for D in table[chunk[0] >> 1 : (chunk[-1] >> 1) + 1]
+            )
+            yield bound, chunk, orders
 
 
-def _scan_chunk(task: tuple[int | None, tuple[int, ...]]) -> tuple[tuple[int, ...], list]:
-    """The chunk's members, with (order, ones) for each n <= rev n and None for the rest."""
-    bound, members = task
-    return members, [_record(n, bound) if _reciprocal_int(n) >= n else None for n in members]
+def _scan_chunk(task: tuple) -> tuple[tuple[int, ...], list]:
+    """The chunk's members, with (order, ones) for each n <= rev n and None for
+    the rest, from the orders the chunk carries if it has them."""
+    bound, members, orders = task
+    return members, [
+        (_record(n, bound) if orders is None else _counted(n, orders[i]))
+        if _reciprocal_int(n) >= n else None
+        for i, n in enumerate(members)
+    ]
 
 
 def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:

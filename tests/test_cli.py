@@ -292,6 +292,26 @@ def test_bad_bit_cap_names_the_variable(capsys, monkeypatch):
     assert err == "error: F2REP_BIT_CAP must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("argv", [("order", "x+1"), ("scan", "--degree-max", "2")])
+def test_a_bit_cap_below_one_is_refused(capsys, monkeypatch, cap, argv):
+    monkeypatch.setenv("F2REP_BIT_CAP", cap)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: F2REP_BIT_CAP must be at least 1, got '{cap}'\n"
+
+
+def test_parity_of_zero_alone_names_the_set(capsys):
+    code, out, err = run(capsys, "parity", "--set", "{0}")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: digit set {0} has phi = 1: f(0) = 1 and f(n) = 0 for every n >= 1,"
+        " so its count parity is not purely periodic\n"
+    )
+    assert run(capsys, "repr", "--set", "{0}", "--n", "0") == (0, "1\n", "")
+    assert run(capsys, "repr", "--set", "{0}", "--n", "5") == (0, "0\n", "")
+
+
 @pytest.mark.parametrize(
     "poly,D",
     [

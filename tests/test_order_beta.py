@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,6 +26,7 @@ from f2rep.gf2poly import _modpow_x_int, _mul_int, _reciprocal_int
 from f2rep.order_beta import (
     _ORDER_SCAN_MAX,
     _cofactor_int,
+    _dense_orders,
     _exact,
     _is_prime,
     _order_factored_int,
@@ -207,9 +208,32 @@ def test_cofactor_of_the_constant_one():
     assert cofactor(F2Poly(1), 5) == parse_poly("x^5 + 1")
 
 
+@cache
+def _kernel_orders() -> dict[int, int]:
+    """_order_int, the oracle, for every odd f < 2^15, shared by the tests below."""
+    return {f: _order_int(f, None) for f in range(3, 1 << 15, 2)}
+
+
+def test_dense_orders_match_the_kernel_below_2_15():
+    sieve = _dense_orders()
+    for d in range(15):
+        table = next(sieve)
+        assert len(table) == 1 << d  # every odd n < 2^(d + 1), at n >> 1
+    assert table[0] == 0  # the constant 1 has no order
+    assert {f: table[f >> 1] for f in range(3, 1 << 15, 2)} == _kernel_orders()
+
+
+def test_dense_orders_match_the_stepwise_oracle_below_2_9():
+    sieve = _dense_orders()
+    for _ in range(9):
+        table = next(sieve)
+    for f in range(3, 1 << 9, 2):
+        assert table[f >> 1] == ref_order(set(F2Poly(f).exponents()), 1 << (f.bit_length() - 1)), f
+
+
 def test_newton_cofactor_matches_division_on_every_small_polynomial():
     for f in range(3, 1 << 13, 2):
-        D = _order_int(f, None)
+        D = _kernel_orders()[f]
         for N in (D, 2 * D):
             assert _cofactor_int(f, N) == ref_cofactor(f, N), (f, N)
         if D > 1:  # x + 1 alone has order 1, which divides every N
@@ -223,7 +247,7 @@ def test_exact_holds_only_at_the_order_on_every_small_polynomial():
     # N = k * order is the least period exactly when k = 1, and _order_int is
     # itself checked against the stepwise ref_order.
     for f in range(3, 1 << 13, 2):
-        D = _order_int(f, None)
+        D = _kernel_orders()[f]
         for k in (1, 2, 3, 4, 6):
             N = k * D
             assert _exact(_cofactor_int(f, N), N) == (k == 1), (f, N)

@@ -236,6 +236,13 @@ def test_count_over_zero_alone():
     assert count_representations(A, 1 << 100) == 0
 
 
+def test_parity_profile_refuses_zero_alone():
+    # phi = 1: the parities are 1, 0, 0, ..., which no purely periodic profile describes.
+    with pytest.raises(ValueError, match=r"digit set \{0\} has phi = 1: .* not purely periodic"):
+        parity_profile(DigitSet([0]))
+    assert parity_series(DigitSet([0]), 4) == [1, 0, 0, 0]
+
+
 def test_count_of_a_wide_set_at_a_30_digit_n():
     # 8054785087996287 is what the memoized digit-peeling walk gave.
     t0 = time.perf_counter()

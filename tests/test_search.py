@@ -22,6 +22,7 @@ from f2rep import (
     write_scan_jsonl,
 )
 from f2rep import search
+from f2rep.order_beta import _dense_orders, _order_int
 from f2rep.search import _corpus, _make_record, _order_ceiling, _record
 
 _WEIGHT = {"all": None, "trinomial": 3, "quadrinomial": 4}
@@ -230,13 +231,51 @@ def test_progress_callback_counts_everything():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_huge_scan_yields_its_first_record_at_once(jobs):
-    # 2^41 indices: building every block up front would not finish.
-    t0 = time.perf_counter()
-    records = scan(ScanConfig(degree_max=40, shape="trinomial", jobs=jobs))
-    first = next(records)
-    records.close()
-    assert time.perf_counter() - t0 < 1
-    assert (first.n, first.order) == (7, 3)
+    # 2^41 indices: building every block, or every sieve table, up front would not finish.
+    for shape, first_record in (("trinomial", (7, 3)), ("all", (1, None))):
+        t0 = time.perf_counter()
+        records = scan(ScanConfig(degree_max=40, shape=shape, jobs=jobs))
+        first = next(records)
+        records.close()
+        assert time.perf_counter() - t0 < 1, shape
+        assert (first.n, first.order) == first_record
+
+
+# A limit of 6 splits the scan between the sieve and per-polynomial factoring;
+# index_max 3000 and 4097 cut a degree slice.
+@pytest.mark.parametrize("extent", [{"degree_max": 10}, {"index_max": 3000}, {"index_max": 4097}])
+@pytest.mark.parametrize("bound", [None, 83])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_dense_limit_does_not_change_the_records(monkeypatch, extent, bound, jobs):
+    expected = run(ScanConfig(order_bound=bound, jobs=jobs, **extent))
+    monkeypatch.setattr(search, "_DENSE_MAX", 6)
+    assert run(ScanConfig(order_bound=bound, jobs=jobs, **extent)) == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_sieve_grows_in_this_process_up_to_the_limit_only(monkeypatch, jobs):
+    # A table grown in a worker would never reach `grown`, which lives here.
+    grown = []
+
+    def dense_orders():
+        for table in _dense_orders():
+            grown.append(len(table))
+            yield table
+
+    def order_int(n, bound):
+        if n < 1 << 7:
+            raise AssertionError(f"{n} is factored but has its order from the sieve")
+        return _order_int(n, bound)
+
+    monkeypatch.setattr(search, "_DENSE_MAX", 6)
+    monkeypatch.setattr(search, "_dense_orders", dense_orders)
+    monkeypatch.setattr(search, "_order_int", order_int)
+    assert len(run(ScanConfig(degree_max=9, jobs=jobs))) == 512
+    assert grown == [1 << d for d in range(7)]  # degrees 0 .. 6, then the tables are dropped
+    monkeypatch.setattr(search, "_order_int", _order_int)
+    for shape in ("trinomial", "quadrinomial"):
+        run(ScanConfig(degree_max=9, shape=shape))
+    assert len(grown) == 7
 
 
 @pytest.mark.parametrize("shape", list(_WEIGHT))
@@ -256,6 +295,7 @@ def test_corpus_lists_what_the_weight_filter_kept(shape, extent):
         ({"index_max": 4097}, None, 1),
         ({"degree_max": 12}, 83, 2),
         ({"index_max": 3000}, 83, 2),
+        ({"degree_max": 12}, 63, 1),  # a bound that some orders meet exactly
     ],
 )
 def test_paired_scan_matches_a_record_per_index(shape, extent, bound, jobs):
