@@ -21,7 +21,7 @@ from .families import (
     verify_family,
 )
 from .gf2poly import BitCapExceeded, F2Poly, ensure_bits, parse_poly
-from .order_beta import OrderBoundExceeded, beta, beta_N, cofactor, order
+from .order_beta import beta, beta_N, cofactor, order
 from .representations import (
     DigitSet,
     _diatomic_terms,
@@ -52,7 +52,7 @@ def _format_poly(p: F2Poly, fmt: str) -> str:
     if fmt == "hex":
         return p.to_hex()
     if fmt == "index":
-        return f"@{p.index}"
+        return f"@{p.bits}"
     return p.to_text()
 
 
@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         # Reader closed the pipe; silence the interpreter's exit-time flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, ZeroDivisionError, OrderBoundExceeded, BitCapExceeded, OSError) as exc:
+    except (ValueError, ZeroDivisionError, BitCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,10 +22,6 @@ __all__ = [
     "bit_cap",
     "ensure_bits",
     "parse_poly",
-    "modpow_x",
-    "reciprocal",
-    "ell1",
-    "ell0",
 ]
 
 _DEFAULT_BIT_CAP = 1 << 28
@@ -225,19 +221,9 @@ class F2Poly:
         return self._bits
 
     @property
-    def index(self) -> int:
-        """Position in the enumeration of all polynomials: just the bits."""
-        return self._bits
-
-    @property
     def degree(self) -> int | None:
         """Highest exponent present, or None for the zero polynomial."""
         return self._bits.bit_length() - 1 if self._bits else None
-
-    def coefficient(self, i: int) -> int:
-        if i < 0:
-            raise ValueError("exponent must be non-negative")
-        return (self._bits >> i) & 1
 
     def exponents(self) -> list[int]:
         """Exponents with coefficient 1, ascending."""
@@ -248,10 +234,6 @@ class F2Poly:
             out.append(low.bit_length() - 1)
             v ^= low
         return out
-
-    def substitute_x2(self) -> "F2Poly":
-        """p(x^2), which over GF(2) equals p*p."""
-        return F2Poly(_square_int(self._bits))
 
     def to_text(self) -> str:
         return _text_from_int(self._bits)
@@ -314,52 +296,21 @@ class F2Poly:
 
 
 def parse_poly(text: str) -> F2Poly:
-    """Accept expression (``x^3 + x + 1``), hex (``0xb``) or index (``@11``) form."""
+    """Accept expression (``x^3 + x + 1``), hex (``0xb``) or index (``@11``)
+    form, each held to the bit cap.  Hex and index text is converted before
+    the check: it is already as long as the int it spells."""
     s = text.strip()
     if s.startswith("@"):
         body = s[1:]
         if not body.isdigit():
             raise ValueError(f"bad polynomial index '{s}'")
-        return F2Poly(int(body))
-    if s[:2].lower() == "0x":
+        bits = int(body)
+    elif s[:2].lower() == "0x":
         try:
-            return F2Poly(int(s, 16))
+            bits = int(s, 16)
         except ValueError:
             raise ValueError(f"bad hex coefficient string '{s}'") from None
-    return F2Poly(_int_from_text(s))
-
-
-def modpow_x(exponent: int, modulus: F2Poly) -> F2Poly:
-    """x**exponent reduced mod the modulus, in O(log exponent) squarings.
-
-    The modulus must have constant term 1 (so x is invertible) and degree
-    at least 1.
-    """
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    m = modulus.bits
-    if not m & 1:
-        raise ValueError("modulus constant term is 0, so x is not invertible")
-    if m == 1:
-        raise ValueError("modulus must have degree >= 1")
-    return F2Poly(_modpow_x_int(exponent, m))
-
-
-def reciprocal(f: F2Poly) -> F2Poly:
-    """Coefficients reversed: x^deg(f) * f(1/x)."""
-    if not f.bits:
-        raise ValueError("reciprocal of the zero polynomial is undefined")
-    return F2Poly(_reciprocal_int(f.bits))
-
-
-def ell1(f: F2Poly) -> int:
-    """Number of nonzero coefficients."""
-    return f.bits.bit_count()
-
-
-def ell0(f: F2Poly, N: int) -> int:
-    """Number of zero coefficients among positions 0..N; N must reach deg f."""
-    d = f.bits.bit_length() - 1
-    if N < 0 or N < d:
-        raise ValueError(f"window end {N} is below the degree {d}")
-    return (N + 1) - f.bits.bit_count()
+    else:
+        return F2Poly(_int_from_text(s))
+    ensure_bits(bits.bit_length())
+    return F2Poly(bits)

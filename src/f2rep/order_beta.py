@@ -25,18 +25,11 @@ from .gf2poly import _divrem_int, _gcd_int, _mod_int, _modpow_x_int, _mul_int, _
 
 __all__ = [
     "BetaReport",
-    "GapCheck",
-    "OrderBoundExceeded",
     "order",
     "cofactor",
     "beta",
     "beta_N",
-    "coordinate_gap_bound_check",
 ]
-
-
-class OrderBoundExceeded(RuntimeError):
-    """No period was found within the requested scan bound."""
 
 
 @dataclass(frozen=True)
@@ -49,13 +42,6 @@ class BetaReport:
     beta: tuple[int, int]
     gamma: Fraction
     robust: bool
-
-
-@dataclass(frozen=True)
-class GapCheck:
-    gap: int
-    bound: float
-    ok: bool
 
 
 def _require_order_domain(f: F2Poly) -> int:
@@ -184,20 +170,10 @@ def _dense_orders() -> Iterator[array]:
                 orders[n >> 1] = orders[r >> 1] if r < n else _irreducible_order(n, d)
 
 
-def order(f: F2Poly, scan_bound: int | None = None) -> int:
-    """Least D >= 1 with f | 1 + x^D.
-
-    The default bound 2^deg(f) - 1 always suffices; a smaller explicit bound
-    raises OrderBoundExceeded when no period exists below it.  ValueError
-    means some 2^k - 1 the order needs could not be factored.
-    """
-    bits = _require_order_domain(f)
-    if scan_bound is not None and scan_bound < 1:
-        raise ValueError("scan bound must be positive")
-    D = _order_int(bits, scan_bound)
-    if D is None:
-        raise OrderBoundExceeded(f"no period found up to {scan_bound}")
-    return D
+def order(f: F2Poly) -> int:
+    """Least D >= 1 with f | 1 + x^D, which never exceeds 2^deg(f) - 1.
+    ValueError means some 2^k - 1 the order needs could not be factored."""
+    return _order_int(_require_order_domain(f), None)
 
 
 # Trial division stops at _TRIAL_MAX; Miller-Rabin on the primes up to 41 then
@@ -333,15 +309,3 @@ def beta_N(f: F2Poly, N: int) -> BetaReport:
     _require_order_domain(f)
     q = cofactor(f, N).bits
     return _beta_from(f, N, q, _exact(q, N))
-
-
-def coordinate_gap_bound_check(f: F2Poly) -> GapCheck:
-    """|ell1 - ell0| of the cofactor against the 2^(k/2) ceiling for degree k.
-
-    The pass/fail verdict uses the integer-exact form gap^2 <= 2^k; the float
-    bound is carried for display only.
-    """
-    D = order(f)
-    k = f.degree
-    *_, gap, ok = _stats(cofactor(f, D).bits.bit_count(), D, k)
-    return GapCheck(gap=gap, bound=2.0 ** (k / 2), ok=ok)

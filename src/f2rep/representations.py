@@ -121,6 +121,8 @@ def parity_series(A: DigitSet, N: int) -> list[int]:
 
     Inverting phi as a power series says bit n is the xor of the bits at
     offsets n - a over the nonzero digits a; no counts are materialized.
+    Public as a list, while the CLI streams _parity_terms: a list refuses a
+    bad N when called, where a generator would refuse only when first read.
     """
     return list(_parity_terms(A, N))
 
@@ -180,7 +182,9 @@ def stern(n: int) -> int:
 def diatomic_row(k: int) -> list[int]:
     """Row k of the diatomic array: row 0 is (1, 1) and each next row keeps
     its parent's entries, inserting the sum of every adjacent pair between
-    them, for 2^k + 1 entries in row k."""
+    them, for 2^k + 1 entries in row k.  Public as a list, while the CLI
+    streams _diatomic_terms: a list refuses a bad k when called, where a
+    generator would refuse only when first read."""
     return list(_diatomic_terms(k))
 
 

@@ -36,6 +36,21 @@ def test_order_accepts_all_three_forms(capsys):
         assert run(capsys, "order", form)[1] == "63\n"
 
 
+@pytest.mark.parametrize(
+    "form",
+    ["x^1600+1", "0x1" + "0" * 399 + "1", f"@{(1 << 1600) | 1}"],
+    ids=["expression", "hex", "index"],
+)
+def test_order_holds_each_form_to_the_bit_cap(capsys, monkeypatch, form):
+    monkeypatch.setenv("F2REP_BIT_CAP", "1000")
+    assert run(capsys, "order", form) == (
+        1,
+        "",
+        "error: operation needs about 1601 coefficient bits but the cap is 1000"
+        " (set F2REP_BIT_CAP to raise it)\n",
+    )
+
+
 def test_beta_command_exact_line(capsys):
     code, out, _ = run(capsys, "beta", "x^9+x^7+x+1")
     assert code == 0

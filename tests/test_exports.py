@@ -2,31 +2,38 @@
 
 from __future__ import annotations
 
+import inspect
+
 import f2rep
 
 PUBLIC = {
     "BetaReport", "BitCapExceeded", "DigitSet", "EXACT_ORDER_CEILING", "F2Poly",
     "FIGURE_COLUMNS", "FamilyPrediction", "FamilySpec", "FamilyVerdict", "FigureRow",
-    "GapCensusEntry", "GapCheck", "OrderBoundExceeded", "PRESETS",
+    "GapCensusEntry", "PRESETS",
     "ParityProfile", "SCAN_COLUMNS", "ScanConfig", "ScanRecord",
-    "beta", "beta_N", "bit_cap", "build_family", "cofactor", "coordinate_gap_bound_check",
-    "count_representations", "diatomic_row", "ell0", "ell1", "ensure_bits",
+    "beta", "beta_N", "bit_cap", "build_family", "cofactor",
+    "count_representations", "diatomic_row", "ensure_bits",
     "family_prediction", "figure_data", "gap_census",
-    "h_closed_form", "modpow_x", "order", "parity_profile", "parity_series", "parse_poly", "phi",
-    "reciprocal", "scan", "stern", "verify_family",
+    "h_closed_form", "order", "parity_profile", "parity_series", "parse_poly", "phi",
+    "scan", "stern", "verify_family",
     "write_figure_csv", "write_scan_csv", "write_scan_jsonl",
 }
 
 # Second spellings and test-only helpers that left the API: a * b, divmod(a, b),
 # F2Poly(n) and beta(f).robust stay; the family identities live in tests/reference.py.
+# Names only tests called: p.bits.bit_count() counts terms, the private kernels
+# _reciprocal_int and _modpow_x_int reverse and exponentiate, beta and gap_census
+# give the coordinate gap, and scan --order-bound runs _order_int(bits, bound).
 REMOVED = {
     "mul", "divrem", "from_index", "is_robust", "one_plus_x_pow", "g_product",
     "ab_lemma_check", "glaisher_sum", "odd_binomial_count",
+    "ell1", "ell0", "reciprocal", "modpow_x", "coordinate_gap_bound_check", "GapCheck",
+    "OrderBoundExceeded",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(f2rep.__all__) == len(PUBLIC) == 46
+    assert len(f2rep.__all__) == len(PUBLIC) == 39
     assert set(f2rep.__all__) == PUBLIC
 
 
@@ -40,3 +47,6 @@ def test_every_public_name_resolves():
 def test_removed_names_are_gone():
     modules = (f2rep, f2rep.gf2poly, f2rep.order_beta, f2rep.families)
     assert not [(m.__name__, n) for m in modules for n in REMOVED if hasattr(m, n)]
+    # p * p stands for substitute_x2, (p.bits >> i) & 1 for coefficient, p.bits for index.
+    assert not [n for n in ("substitute_x2", "coefficient", "index") if hasattr(f2rep.F2Poly, n)]
+    assert list(inspect.signature(f2rep.order).parameters) == ["f"]

@@ -3,21 +3,23 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from f2rep import (
-    BitCapExceeded,
-    F2Poly,
-    ell0,
-    ell1,
-    modpow_x,
-    parse_poly,
-    reciprocal,
+from f2rep import BitCapExceeded, F2Poly, parse_poly
+from f2rep.gf2poly import (
+    _divrem_int,
+    _mod_int,
+    _modpow_x_int,
+    _mul_int,
+    _reciprocal_int,
+    _square_int,
+    ensure_bits,
 )
-from f2rep.gf2poly import _divrem_int, _mod_int, _mul_int, _reciprocal_int, _square_int, ensure_bits
+from f2rep.order_beta import _stats
 
 from reference import bits_of, ref_divmod, ref_mul, ref_reciprocal, ref_xpow_mod
 
@@ -46,12 +48,12 @@ def to_set(p: F2Poly) -> set[int]:
 def test_from_index_examples(n, text):
     p = F2Poly(n)
     assert p.to_text() == text
-    assert p.index == n
+    assert p.bits == n
 
 
 def test_from_index_round_trip():
     for n in range(1 << 12):
-        assert F2Poly(n).index == n
+        assert F2Poly(n).bits == n
 
 
 def test_from_index_rejects_negative():
@@ -70,10 +72,8 @@ def test_degree_and_coefficients():
     p = parse_poly("x^9 + x^7 + x + 1")
     assert p.degree == 9
     assert F2Poly(0).degree is None
-    assert [p.coefficient(i) for i in range(11)] == [1, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0]
+    assert [(p.bits >> i) & 1 for i in range(11)] == [1, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0]
     assert p.exponents() == [0, 1, 7, 9]
-    with pytest.raises(ValueError):
-        p.coefficient(-1)
 
 
 def test_constructor_rejects_bad_bits():
@@ -129,7 +129,7 @@ def test_text_forms_round_trip(bits):
     p = F2Poly(bits)
     assert parse_poly(p.to_text()) == p
     assert parse_poly(p.to_hex()) == p
-    assert parse_poly(f"@{p.index}") == p
+    assert parse_poly(f"@{p.bits}") == p
 
 
 def test_repr_compact_for_many_terms():
@@ -173,13 +173,13 @@ def test_mul_degree_and_weight(a, b):
     pa, pb = F2Poly(a), F2Poly(b)
     prod = pa * pb
     assert prod.degree == pa.degree + pb.degree
-    assert ell1(prod) <= ell1(pa) * ell1(pb)
+    assert prod.bits.bit_count() <= a.bit_count() * b.bit_count()
 
 
 @given(any_bits)
 def test_square_is_substitution(a):
     p = F2Poly(a)
-    assert p * p == p.substitute_x2()
+    assert p * p == F2Poly.from_exponents(2 * e for e in p.exponents())
 
 
 def test_square_spreads_bits():
@@ -228,7 +228,7 @@ def test_divrem_examples(a, b, q, r):
 def test_divrem_extracts_the_worked_cofactor(f31):
     q, r = divmod(F2Poly(1 | (1 << 63)), f31)
     assert not r
-    assert ell1(q) == 37
+    assert q.bits.bit_count() == 37
 
 
 def test_division_by_zero():
@@ -289,21 +289,12 @@ def test_mod_int_matches_reference(a, b):
 
 
 def test_modpow_examples(f31):
-    assert modpow_x(63, f31) == F2Poly(1)
-    assert modpow_x(0, f31) == F2Poly(1)
+    assert _modpow_x_int(63, f31.bits) == 1
+    assert _modpow_x_int(0, f31.bits) == 1
     # 21 properly divides 63 yet x^21 is not 1: frozen residue from the
     # step-by-step oracle.
-    assert modpow_x(21, f31) == F2Poly(0x1D4)
-    assert to_set(modpow_x(21, f31)) == {2, 4, 6, 7, 8}
-
-
-def test_modpow_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        modpow_x(5, parse_poly("x^2 + x"))  # constant term 0
-    with pytest.raises(ValueError):
-        modpow_x(5, parse_poly("1"))
-    with pytest.raises(ValueError):
-        modpow_x(-1, parse_poly("x + 1"))
+    assert _modpow_x_int(21, f31.bits) == 0x1D4
+    assert to_set(F2Poly(_modpow_x_int(21, f31.bits))) == {2, 4, 6, 7, 8}
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,8 +304,8 @@ def test_modpow_rejects_bad_modulus():
 )
 def test_modpow_matches_stepwise_oracle(e, m_high):
     m = (m_high << 1) | 1  # constant term 1, degree >= 1
-    got = modpow_x(e, F2Poly(m))
-    assert to_set(got) == ref_xpow_mod(e, set(F2Poly(m).exponents()))
+    got = _modpow_x_int(e, m)
+    assert to_set(F2Poly(got)) == ref_xpow_mod(e, set(F2Poly(m).exponents()))
 
 
 # ---------------------------------------------------------------- reciprocal
@@ -330,24 +321,18 @@ def test_modpow_matches_stepwise_oracle(e, m_high):
     ],
 )
 def test_reciprocal_examples(f, rev):
-    assert reciprocal(parse_poly(f)) == parse_poly(rev)
-
-
-def test_reciprocal_rejects_zero():
-    with pytest.raises(ValueError):
-        reciprocal(F2Poly(0))
+    assert _reciprocal_int(parse_poly(f).bits) == parse_poly(rev).bits
 
 
 @given(st.integers(min_value=1, max_value=(1 << 4096) - 1))
 def test_reciprocal_matches_reference(a):
-    p = F2Poly(a)
-    assert to_set(reciprocal(p)) == ref_reciprocal(to_set(p))
+    assert to_set(F2Poly(_reciprocal_int(a))) == ref_reciprocal(to_set(F2Poly(a)))
 
 
 @given(st.integers(min_value=0, max_value=(1 << 600) - 1))
 def test_reciprocal_involutive_with_constant_term(a):
-    p = F2Poly((a << 1) | 1)
-    assert reciprocal(reciprocal(p)) == p
+    a = (a << 1) | 1
+    assert _reciprocal_int(_reciprocal_int(a)) == a
 
 
 def _ref_reciprocal_int(a: int) -> int:
@@ -381,23 +366,20 @@ def test_reciprocal_int_of_a_megabit_operand():
 
 
 def test_ell_examples(f31):
+    # ell1 and ell0 of the worked cofactor over its window of 63, as _stats counts them.
     fstar = divmod(F2Poly(1 | (1 << 63)), f31)[0]
-    assert ell1(fstar) == 37
-    assert ell0(fstar, 62) == 26
-    assert ell1(F2Poly(0)) == 0
-    assert ell0(F2Poly(0), 4) == 5
-
-
-def test_ell0_window_must_reach_degree():
-    with pytest.raises(ValueError):
-        ell0(parse_poly("x^5 + 1"), 4)
+    assert _stats(fstar.bits.bit_count(), 63, 9)[:2] == (37, 26)
 
 
 @given(nonzero_bits, st.integers(min_value=0, max_value=100))
 def test_ell_partition_counts(a, extra):
     p = F2Poly(a)
-    N = p.degree + extra
-    assert ell1(p) + ell0(p, N) == N + 1
+    N = p.degree + extra + 1
+    ones, zeros, gamma, robust, gap, _ = _stats(a.bit_count(), N, p.degree)
+    assert ones + zeros == N
+    assert gamma == Fraction(ones, N)
+    assert gap == abs(ones - zeros)
+    assert robust == (ones > zeros + 1)
 
 
 # ---------------------------------------------------------------- operators
@@ -438,3 +420,21 @@ def test_parse_poly_checks_each_exponent_against_the_cap(monkeypatch):
     assert parse_poly("x^999 + 1").degree == 999
     with pytest.raises(BitCapExceeded, match="needs about 5001 coefficient bits but the cap is 1000"):
         parse_poly("x^5000 + 1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^1600 + 1", "0x1" + "0" * 399 + "1", f"@{(1 << 1600) | 1}"],
+    ids=["expression", "hex", "index"],
+)
+def test_parse_poly_holds_every_form_to_the_cap(monkeypatch, text):
+    monkeypatch.setenv("F2REP_BIT_CAP", "1000")
+    with pytest.raises(BitCapExceeded) as exc:
+        parse_poly(text)
+    assert str(exc.value) == (
+        "operation needs about 1601 coefficient bits but the cap is 1000"
+        " (set F2REP_BIT_CAP to raise it)"
+    )
+    # At the cap each form parses.
+    monkeypatch.setenv("F2REP_BIT_CAP", "1601")
+    assert parse_poly(text) == F2Poly((1 << 1600) | 1)

@@ -9,18 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from f2rep import (
-    F2Poly,
-    OrderBoundExceeded,
-    beta,
-    beta_N,
-    cofactor,
-    coordinate_gap_bound_check,
-    modpow_x,
-    order,
-    parse_poly,
-    reciprocal,
-)
+from f2rep import F2Poly, beta, beta_N, cofactor, order, parse_poly
 
 from f2rep.gf2poly import _modpow_x_int, _mul_int, _reciprocal_int
 from f2rep.order_beta import (
@@ -33,6 +22,7 @@ from f2rep.order_beta import (
     _order_int,
     _order_scan_int,
     _prime_factors,
+    _stats,
 )
 
 from conftest import F31_STAR_EXPONENTS, F32_STAR_EXPONENTS
@@ -65,14 +55,13 @@ def test_order_rejects_bad_domain():
         order(parse_poly("x^2 + x"))  # constant term 0
     with pytest.raises(ValueError):
         order(parse_poly("1"))  # degree 0
-    with pytest.raises(ValueError):
-        order(parse_poly("x + 1"), scan_bound=0)
 
 
 def test_order_bound_exceeded():
-    with pytest.raises(OrderBoundExceeded):
-        order(parse_poly("x^9 + x^7 + x + 1"), scan_bound=62)
-    assert order(parse_poly("x^9 + x^7 + x + 1"), scan_bound=63) == 63
+    # The path scan --order-bound runs: no period up to the bound is None.
+    bits = parse_poly("x^9 + x^7 + x + 1").bits
+    assert _order_int(bits, 62) is None
+    assert _order_int(bits, 63) == 63
 
 
 @settings(max_examples=80, deadline=None)
@@ -357,7 +346,7 @@ def test_is_robust_examples(f31):
 @given(st.integers(min_value=1, max_value=(1 << 11) - 1))
 def test_reciprocal_preserves_order_and_beta(high):
     f = F2Poly((high << 1) | 1)
-    g = reciprocal(f)
+    g = F2Poly(_reciprocal_int(f.bits))
     rf, rg = beta(f), beta(g)
     assert rf.period == rg.period
     assert rf.beta == rg.beta
@@ -380,18 +369,21 @@ def test_beta_counts_partition_period():
     ],
 )
 def test_gap_bound_examples(poly, gap, ok):
-    chk = coordinate_gap_bound_check(parse_poly(poly))
-    assert chk.gap == gap
-    assert chk.ok is ok
+    f = parse_poly(poly)
+    ones, zeros = beta(f).beta
+    assert abs(ones - zeros) == gap
+    assert _stats(ones, ones + zeros, f.degree)[4:] == (gap, ok)
 
 
 def test_gap_bound_value(f31):
-    chk = coordinate_gap_bound_check(f31)
-    assert chk.bound == pytest.approx(2.0**4.5)
-    # Integer-exact form of the verdict: gap^2 against 2^k.
-    assert (chk.gap * chk.gap <= 1 << 9) == chk.ok
+    ones, zeros = beta(f31).beta
+    *_, gap, ok = _stats(ones, ones + zeros, 9)
+    assert (gap, ok) == (11, True)
+    # The verdict, gap^2 <= 2^k in integers, is gap <= 2^(k/2) at every k near it.
+    for k in range(1, 20):
+        assert _stats(ones, ones + zeros, k)[5] == (gap <= 2.0 ** (k / 2))
 
 
 def test_order_of_x63_window_back_to_one(f31):
-    assert modpow_x(63, f31) == F2Poly(1)
-    assert all(modpow_x(k, f31) != F2Poly(1) for k in range(1, 63))
+    assert _modpow_x_int(63, f31.bits) == 1
+    assert all(_modpow_x_int(k, f31.bits) != 1 for k in range(1, 63))
