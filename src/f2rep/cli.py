@@ -18,6 +18,7 @@ from .families import (
     FamilySpec,
     FamilyVerdict,
     _admit,
+    _reciprocal_verdict,
     verify_family,
 )
 from .gf2poly import BitCapExceeded, F2Poly, ensure_bits, parse_poly
@@ -131,17 +132,18 @@ def _cmd_family_range(args: argparse.Namespace) -> int:
     # Every member is admitted as it is made, in r order, before any runs, and
     # verified before the first line, so a refused or failing member prints no
     # partial table and a huge r_max stops at its first refused member.
-    specs = []
     for r in range(1, args.r_max + 1):
         for variant in (1, 2):
             for reciprocal in (False, True):
-                spec = FamilySpec(r=r, variant=variant, reciprocal=reciprocal)
-                _admit(spec, args.allow_large_r)
-                specs.append(spec)
+                _admit(FamilySpec(r=r, variant=variant, reciprocal=reciprocal), args.allow_large_r)
+    # One task per (r, variant), largest r first so that a pool starts on the
+    # costliest; each base verdict also gives its reciprocal member's line.
+    bases = [FamilySpec(r=r, variant=v) for r in range(args.r_max, 0, -1) for v in (1, 2)]
     verify = partial(verify_family, allow_large_r=args.allow_large_r)
-    verdicts = list(_ordered_map(verify, specs, args.jobs))
+    verdicts = sorted(_ordered_map(verify, bases, args.jobs), key=lambda v: v.spec.r)
     for v in verdicts:
         print(_family_line(v))
+        print(_family_line(_reciprocal_verdict(v)))
     return 0
 
 

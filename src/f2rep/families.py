@@ -10,17 +10,18 @@ smaller r still builds and verifies but is reported as measured.
 verify_family proves each member's predicted period N with one product:
 h_closed_form builds the cofactor h from a doubling product, and
 f h == 1 + x^N shows that N is a period and, a cofactor being unique, that h
-is its cofactor.  A reciprocal member takes h reversed, since
-rev f rev h = rev(1 + x^N).  Newton inversion runs only if the product fails.
+is its cofactor.  Newton inversion runs only if the product fails.  A
+reciprocal member shares its base member's proof and verdict, since
+rev f rev h = rev(1 + x^N) = 1 + x^N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .gf2poly import BitCapExceeded, F2Poly, _mul_int, _reciprocal_int, bit_cap, ensure_bits
-from .order_beta import _exact, _stats, cofactor
+from .gf2poly import BitCapExceeded, F2Poly, bit_cap, ensure_bits
+from .order_beta import _exact, _proves_period, _stats, cofactor
 
 __all__ = [
     "EXACT_ORDER_CEILING",
@@ -136,33 +137,40 @@ def _admit(spec: FamilySpec, allow_large_r: bool) -> None:
     ensure_bits(family_prediction(spec).period + 8)
 
 
+def _reciprocal_verdict(v: FamilyVerdict) -> FamilyVerdict:
+    """The reciprocal member's verdict: its base member's, with no closed form."""
+    return replace(v, spec=replace(v.spec, reciprocal=True), closed_form_matches=None)
+
+
 def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVerdict:
     """Check one family member against its predictions.
 
-    The closed-form cofactor h (reversed for a reciprocal member) is proved
-    by one product f h == 1 + x^N at the predicted period N.  If the product
-    fails, Newton inversion computes the cofactor instead, and raises unless N
-    is a period.  The verdict records whether N is the exact order, whether
-    the cofactor counts match the predicted (c, d), whether the closed form
-    held (non-reciprocal members only), and the measured robustness.  r above
-    EXACT_ORDER_CEILING needs allow_large_r=True.
+    The closed-form cofactor h is proved by one product f h == 1 + x^N at
+    the predicted period N.  If the product fails, Newton inversion computes
+    the cofactor instead, and raises unless N is a period.  The verdict
+    records whether N is the exact order, whether the cofactor counts match
+    the predicted (c, d), whether the closed form held, and the measured
+    robustness.  A reciprocal member takes its base member's verdict, with
+    closed_form_matches None.  r above EXACT_ORDER_CEILING needs
+    allow_large_r=True.
     """
     _admit(spec, allow_large_r)
+    if spec.reciprocal:
+        base = verify_family(replace(spec, reciprocal=False), allow_large_r=allow_large_r)
+        return _reciprocal_verdict(base)
     pred = family_prediction(spec)
     f = build_family(spec)
     h = h_closed_form(spec.r, spec.variant).bits
-    if spec.reciprocal:
-        h = _reciprocal_int(h)
-    proved = _mul_int(f.bits, h) == (1 << pred.period) | 1
+    proved = _proves_period(f.bits, h, pred.period)
     q = h if proved else cofactor(f, pred.period).bits  # raises unless N is a period
     ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), pred.period, f.degree)
     return FamilyVerdict(
         spec=spec,
         period=pred.period,
-        order_exact=_exact(q, pred.period),
+        order_exact=_exact(f.bits, q, pred.period),
         beta=(ones, zeros),
         gamma=gamma,
         matches_prediction=(ones, zeros) == (pred.c, pred.d),
-        closed_form_matches=None if spec.reciprocal else proved,
+        closed_form_matches=proved,
         robust=robust,
     )

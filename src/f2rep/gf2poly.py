@@ -178,7 +178,7 @@ def _int_from_text(text: str) -> int:
             e = 1
         elif term.startswith("x^"):
             exp = term[2:]
-            if not exp.isdigit():
+            if not exp.isdecimal():
                 raise ValueError(f"bad exponent in term '{term}'")
             e = int(exp)
         else:
@@ -302,9 +302,15 @@ def parse_poly(text: str) -> F2Poly:
     s = text.strip()
     if s.startswith("@"):
         body = s[1:]
-        if not body.isdigit():
+        if not body.isdecimal():
             raise ValueError(f"bad polynomial index '{s}'")
-        bits = int(body)
+        try:
+            bits = int(body)
+        except ValueError:  # past Python's limit on decimal text
+            raise ValueError(
+                f"polynomial index of {len(body)} digits is too long to read;"
+                " give the polynomial in hex (0x...)"
+            ) from None
     elif s[:2].lower() == "0x":
         try:
             bits = int(s, 16)

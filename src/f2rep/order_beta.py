@@ -234,18 +234,34 @@ def _cofactor_int(fbits: int, N: int) -> int | None:
         g = _square_int(g)
         g = _mul_int(fbits, g)
         g &= (1 << -(-L >> j)) - 1
-    return g if _mul_int(fbits, g) == (1 << N) | 1 else None
+    return g if _proves_period(fbits, g, N) else None
 
 
-def _exact(q: int, N: int) -> bool:
-    """Is N, a period with cofactor q = (1 + x^N)/f, the least period of f?
-    For a prime p | N and M = N/p, f divides 1 + x^M exactly when q repeats
-    with period M, that is when q ^ (q >> M) has no bit below N - M."""
+def _proves_period(fbits: int, h: int, N: int) -> bool:
+    """Is fbits h == 1 + x^N?  Read from the product's length and two set
+    bits, so 1 + x^N is never built."""
+    v = _mul_int(fbits, h)
+    return v.bit_length() == N + 1 and v & 1 == 1 and v.bit_count() == 2
+
+
+def _exact(fbits: int, q: int, N: int) -> bool:
+    """Is N, a period of fbits with cofactor q = (1 + x^N)/fbits, the least?
+
+    For a prime p | N and M = N/p, split q at x^M: 1 + x^N = f q gives
+    1 = f (q mod x^M) + x^M r_M, so r_M = x^(-M) mod f, and f divides
+    1 + x^M exactly when r_M = 1.  r_M = (f (q mod x^M)) >> M needs only the
+    deg f bits w of q just below x^M: it is (f w) >> deg f.  q is turned to
+    bytes once; each prime then reads deg f bits of it.
+    """
+    d = fbits.bit_length() - 1
+    data = q.to_bytes((q.bit_length() + 7) // 8, "little")
     for p in _prime_factors(N):
         M = N // p
-        x = q ^ (q >> M)
-        k = N - M
-        if x >> k << k == x:
+        if M < d:
+            continue  # f cannot divide 1 + x^M of lower degree
+        lo = M - d
+        w = int.from_bytes(data[lo >> 3 : (M + 7) >> 3], "little") >> (lo & 7)
+        if _mul_int(fbits, w & ((1 << d) - 1)) >> d == 1:
             return False
     return True
 
@@ -308,4 +324,4 @@ def beta_N(f: F2Poly, N: int) -> BetaReport:
     """
     _require_order_domain(f)
     q = cofactor(f, N).bits
-    return _beta_from(f, N, q, _exact(q, N))
+    return _beta_from(f, N, q, _exact(f.bits, q, N))

@@ -64,7 +64,7 @@ class DigitSet:
             raise ValueError("digit set must contain 0")
         parts = body.split(",")
         for p in parts:
-            if not p.isdigit():
+            if not p.isdecimal():
                 raise ValueError(f"bad digit '{p}' in digit set '{text}'")
         return cls(int(p) for p in parts)
 

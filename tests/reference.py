@@ -95,6 +95,19 @@ def ref_cofactor(fbits: int, N: int) -> int:
     return q
 
 
+def ref_exact(q: int, N: int) -> bool:
+    """Is N, a period with cofactor q = (1 + x^N)/f, the least period of f?
+    For a prime p | N and M = N/p, f divides 1 + x^M exactly when q repeats
+    with period M, that is when q ^ (q >> M) has no bit below N - M."""
+    for p in ref_primes(N):
+        M = N // p
+        x = q ^ (q >> M)
+        k = N - M
+        if x >> k << k == x:
+            return False
+    return True
+
+
 def ref_parity_series_via_cofactor(A, N: int) -> list[int]:
     """The first N count parities of digit set A, rebuilt by tiling the
     cofactor bits of its parity profile."""

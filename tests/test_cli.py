@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from f2rep import DigitSet, cli, parse_poly, search
+from f2rep import DigitSet, cli, families, gf2poly, order_beta, parse_poly, search
 from f2rep.cli import main
 
 from reference import ref_diatomic_row, ref_parity_series
@@ -49,6 +49,29 @@ def test_order_holds_each_form_to_the_bit_cap(capsys, monkeypatch, form):
         "error: operation needs about 1601 coefficient bits but the cap is 1000"
         " (set F2REP_BIT_CAP to raise it)\n",
     )
+
+
+def test_order_refuses_an_index_past_the_decimal_digit_limit_and_names_hex(capsys):
+    # 4,401 digits: Python's int() refuses decimal text past 4,300 digits.
+    code, out, err = run(capsys, "order", "@1" + "0" * 4399 + "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: polynomial index of 4401 digits is too long to read;"
+        " give the polynomial in hex (0x...)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("order", "@²"), "bad polynomial index '@²'"),
+        (("order", "x^²+1"), "bad exponent in term 'x^²'"),
+        (("repr", "--set", "{0,1,²}", "--n", "3"), "bad digit '²' in digit set '{0,1,²}'"),
+    ],
+    ids=["index", "exponent", "digit"],
+)
+def test_non_ascii_digits_are_refused_in_the_parsers_words(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_beta_command_exact_line(capsys):
@@ -101,9 +124,26 @@ def test_family_range_covers_all_members(capsys):
 
 
 def test_family_range_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "family", "range", "--r-max", "4")
-    _, parallel, _ = run(capsys, "family", "range", "--r-max", "4", "--jobs", "2")
+    # The pool takes the pairs largest r first; the lines still come in r order.
+    _, serial, _ = run(capsys, "family", "range", "--r-max", "6")
+    _, parallel, _ = run(capsys, "family", "range", "--r-max", "6", "--jobs", "2")
     assert serial == parallel
+    assert [line.split()[:3] for line in serial.splitlines()] == [
+        [f"r={r}", f"variant={v}", f"reciprocal={recip}"]
+        for r in range(1, 7) for v in (1, 2) for recip in ("false", "true")
+    ]
+
+
+def test_family_range_builds_one_closed_form_per_pair_and_reverses_nothing(capsys, monkeypatch):
+    built = []
+    real = families.h_closed_form
+    monkeypatch.setattr(families, "h_closed_form", lambda r, v: built.append((r, v)) or real(r, v))
+    for mod in (gf2poly, families, order_beta, search, cli):
+        if hasattr(mod, "_reciprocal_int"):
+            monkeypatch.setattr(mod, "_reciprocal_int", lambda a: pytest.fail("reversed"))
+    code, out, _ = run(capsys, "family", "range", "--r-max", "6")
+    assert (code, len(out.splitlines())) == (0, 24)
+    assert sorted(built) == [(r, v) for r in range(1, 7) for v in (1, 2)]
 
 
 def test_scan_preset_robust_only(capsys):

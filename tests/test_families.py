@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from f2rep import (
     BitCapExceeded,
     F2Poly,
     FamilySpec,
+    FamilyVerdict,
     build_family,
     cofactor,
     family_prediction,
@@ -22,7 +24,8 @@ from f2rep import (
     verify_family,
 )
 from f2rep import families
-from f2rep.gf2poly import _reciprocal_int
+from f2rep.gf2poly import _mul_int, _reciprocal_int
+from f2rep.order_beta import _exact
 
 from reference import (
     ab_lemma_check,
@@ -30,6 +33,7 @@ from reference import (
     glaisher_sum,
     odd_binomial_count,
     one_plus_x_pow,
+    ref_exact,
     ref_h_closed_form,
     ref_odd_binomials,
 )
@@ -292,9 +296,45 @@ def test_sizes_past_4300_digits_are_refused_by_the_cap(monkeypatch, call):
     assert len(str(exc.value)) < 200
 
 
+def _reciprocal_verdict_on_its_own(r: int, variant: int) -> FamilyVerdict:
+    """The reciprocal member proved by itself: the closed form reversed, its
+    own product check, and exactness from the period-shift oracle."""
+    spec = FamilySpec(r, variant, True)
+    pred = family_prediction(spec)
+    N = pred.period
+    h = _reciprocal_int(h_closed_form(r, variant).bits)
+    assert _mul_int(build_family(spec).bits, h) == (1 << N) | 1
+    ones = h.bit_count()
+    return FamilyVerdict(
+        spec=spec,
+        period=N,
+        order_exact=ref_exact(h, N),
+        beta=(ones, N - ones),
+        gamma=Fraction(ones, N),
+        matches_prediction=(ones, N - ones) == (pred.c, pred.d),
+        closed_form_matches=None,
+        robust=2 * ones > N + 1,
+    )
+
+
 def test_reciprocal_member_shares_beta():
-    for r in (3, 4):
+    for r in range(1, 10):
         for variant in (1, 2):
             a = verify_family(FamilySpec(r, variant, False))
             b = verify_family(FamilySpec(r, variant, True))
             assert a.beta == b.beta and a.robust == b.robust
+            own = _reciprocal_verdict_on_its_own(r, variant)
+            for field in fields(FamilyVerdict):
+                assert getattr(b, field.name) == getattr(own, field.name), (r, variant, field.name)
+
+
+@pytest.mark.parametrize("r", range(1, EXACT_ORDER_CEILING + 1))
+@pytest.mark.parametrize("variant", [1, 2])
+def test_family_exactness_matches_the_period_shift_oracle(r, variant):
+    # At N the order, and at 3N, where the cofactor is h (1 + x^N + x^2N).
+    f = build_family(FamilySpec(r, variant)).bits
+    N = family_prediction(FamilySpec(r, variant)).period
+    h = h_closed_form(r, variant).bits
+    h3 = h ^ (h << N) ^ (h << 2 * N)
+    assert _exact(f, h, N) == ref_exact(h, N) == verify_family(FamilySpec(r, variant)).order_exact
+    assert _exact(f, h3, 3 * N) == ref_exact(h3, 3 * N) is False

@@ -115,6 +115,8 @@ def test_parse_poly_forms(text, expect):
         ("", "empty polynomial text"),
         ("x^2 + + 1", "bad polynomial term ''"),
         ("@12a", "bad polynomial index '@12a'"),
+        ("@²", "bad polynomial index '@²'"),  # a digit to isdigit, not to int()
+        ("x^²", "bad exponent in term 'x^²'"),
         ("0xg1", "bad hex coefficient string '0xg1'"),
     ],
 )

@@ -29,6 +29,7 @@ from conftest import F31_STAR_EXPONENTS, F32_STAR_EXPONENTS
 from reference import (
     bits_of,
     ref_cofactor,
+    ref_exact,
     ref_mul,
     ref_order,
     ref_primes,
@@ -234,12 +235,14 @@ def test_newton_cofactor_matches_division_on_every_small_polynomial():
 
 def test_exact_holds_only_at_the_order_on_every_small_polynomial():
     # N = k * order is the least period exactly when k = 1, and _order_int is
-    # itself checked against the stepwise ref_order.
+    # itself checked against the stepwise ref_order.  The deg f bits that
+    # _exact reads per prime agree with the period-shift oracle.
     for f in range(3, 1 << 13, 2):
         D = _kernel_orders()[f]
         for k in (1, 2, 3, 4, 6):
             N = k * D
-            assert _exact(_cofactor_int(f, N), N) == (k == 1), (f, N)
+            q = _cofactor_int(f, N)
+            assert _exact(f, q, N) == ref_exact(q, N) == (k == 1), (f, N)
 
 
 # (x^2 + x + 1)^14: degree 28, order 3 * 16.
