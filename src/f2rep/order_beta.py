@@ -8,7 +8,8 @@ that builds each order from those of its factors.
 The cofactor f* = (1 + x^D)/f drives everything downstream: beta(f) counts
 its ones and zeros across one period window, gamma is the ones density as an
 exact fraction, and f is robust when the ones outnumber the zeros by more
-than one.
+than one.  The sieve also gives the count by theorem, with no cofactor built,
+where f is a product of primitive polynomials of pairwise coprime degrees.
 """
 
 from __future__ import annotations
@@ -121,10 +122,11 @@ def _irreducible_order(h: int, k: int) -> int:
     return M
 
 
-def _dense_orders() -> Iterator[array]:
+def _dense_orders() -> Iterator[tuple[array, array]]:
     """The orders of every odd polynomial up to degree d, for d = 0, 1, 2, ...
-    in turn: one table indexed by n >> 1, grown a degree per step (0 for the
-    constant 1, which has none).
+    in turn, with their cofactor one-counts where a theorem gives them: two
+    tables indexed by n >> 1, grown a degree per step (order 0 for the
+    constant 1, which has none, and count 0 where no theorem covers n).
 
     A smallest-factor sieve: each irreducible p of degree k <= d/2 marks
     n = p q for every odd q of degree d - k, and the first (smallest) p to
@@ -132,25 +134,37 @@ def _dense_orders() -> Iterator[array]:
     when p is also q's smallest factor, else 1, and ord n = lcm(ord q,
     ord p * 2^t) for the least t with 2^t >= m, as ord(p^(m-1)) | ord(p^m).
     An unmarked n is irreducible: it copies the order of rev n < n, or takes
-    it from 2^d - 1.  "H" holds each p to d = 31, "L" each order to d = 32.
+    it from 2^d - 1.  "H" holds each p to d = 31, "L" each order to d = 32,
+    and "I", of 4 bytes on 32- and 64-bit platforms, each count to d = 32.
+
+    Counts: a primitive n (irreducible of order 2^d - 1, 1 + x too) has
+    2^(d-1), as 1/n is an m-sequence (Golomb 1967).  If n = p q with p and q
+    counted, m = 1 and gcd(ord p, ord q) = 1, then 1/n = a/p + b/q, a/p and
+    b/q have the counts o_p, o_q of 1/p and 1/q, and by the CRT their phases
+    meet in each pair once per period ord p ord q, so n has
+    o_p (ord q - o_q) + (ord p - o_p) o_q (Lidl & Niederreiter, ch. 8).
+    Counted orders are odd and m > 1 makes ord n even, so the test reads
+    ord n = ord p ord q.  Counted n: products of distinct primitives of
+    pairwise coprime degrees.
     """
     spf = array("H", [0])  # the smallest factor p of n, 0 while n is irreducible
     mult = bytearray([1])  # the multiplicity of p in n
     orders = array("L", [0])
+    ones = array("I", [0])
     d = 0
     while True:
-        yield orders
+        yield orders, ones
         d += 1
         half = 1 << (d - 1)  # the odd n of degree d sit at n >> 1 in [half, 2 half)
-        spf.frombytes(bytes(half * spf.itemsize))
-        orders.frombytes(bytes(half * orders.itemsize))
+        for table in (spf, orders, ones):
+            table.frombytes(bytes(half * table.itemsize))
         mult.extend(b"\1" * half)
         for k in range(1, d // 2 + 1):
             base = (1 << (d - k)) | 1
             for p in range((1 << k) | 1, 2 << k, 2):
                 if spf[p >> 1]:
                     continue
-                op = orders[p >> 1]
+                op, wp = orders[p >> 1], ones[p >> 1]
                 # q walks its middle bits in Gray code order, one flip a step,
                 # so that p q moves by one shifted p and needs no product.
                 q, pq = base, _mul_int(p, base)
@@ -160,14 +174,19 @@ def _dense_orders() -> Iterator[array]:
                         j = q >> 1
                         m = mult[j] + 1 if (spf[j] or q) == p else 1
                         spf[i], mult[i] = p, m
-                        orders[i] = lcm(orders[j], op << (m - 1).bit_length())
+                        oq = orders[j]
+                        orders[i] = D = lcm(oq, op << (m - 1).bit_length())
+                        if wp and (wq := ones[j]) and D == op * oq:
+                            ones[i] = wp * (oq - wq) + (op - wp) * wq
                     b = (t & -t).bit_length()
                     q ^= 1 << b
                     pq ^= p << b
         for n in range((1 << d) | 1, 2 << d, 2):
             if not spf[n >> 1]:
                 r = _reciprocal_int(n)
-                orders[n >> 1] = orders[r >> 1] if r < n else _irreducible_order(n, d)
+                orders[n >> 1] = D = orders[r >> 1] if r < n else _irreducible_order(n, d)
+                if D == 2 * half - 1:  # primitive
+                    ones[n >> 1] = half
 
 
 def order(f: F2Poly) -> int:

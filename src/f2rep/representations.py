@@ -66,7 +66,11 @@ class DigitSet:
         for p in parts:
             if not p.isdecimal():
                 raise ValueError(f"bad digit '{p}' in digit set '{text}'")
-        return cls(int(p) for p in parts)
+        try:
+            digits = [int(p) for p in parts]
+        except ValueError:  # past Python's limit on decimal text
+            raise ValueError(f"digit of {max(map(len, parts))} digits is too long to read") from None
+        return cls(digits)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(d) for d in self.digits) + "}"

@@ -25,7 +25,7 @@ from itertools import combinations, groupby, islice
 from math import inf
 from typing import TextIO
 
-from .gf2poly import _reciprocal_int, _text_from_int, bit_cap, ensure_bits
+from .gf2poly import _modpow_x_int, _reciprocal_int, _text_from_int, bit_cap, ensure_bits
 from .order_beta import _cofactor_int, _dense_orders, _order_int, _stats
 
 __all__ = [
@@ -46,8 +46,8 @@ __all__ = [
 
 _SHAPES = ("all", "trinomial", "quadrinomial")
 _CHUNK = 2048
-# The top degree whose orders come from the sieve: its tables, 11 bytes per
-# odd polynomial, reach 1.4 MB at degree 17 and take 0.6 s to build.
+# The top degree whose orders come from the sieve: its tables, 15 bytes per
+# odd polynomial, reach 2.0 MB at degree 17 and take 0.6 s to build.
 _DENSE_MAX = 17
 
 
@@ -127,16 +127,22 @@ PRESETS: dict[str, ScanConfig] = {
 
 def _record(n: int, order_bound: int | None) -> tuple[int | None, int | None]:
     """(order D, cofactor one-count) of n, or (None, None) when n has no order."""
-    return _counted(n, None if n == 1 else _order_int(n, order_bound))
+    return _counted(n, None if n == 1 else _order_int(n, order_bound), 0)
 
 
-def _counted(n: int, D: int | None) -> tuple[int | None, int | None]:
-    """(D, cofactor one-count) of n at its order D, or (None, None) when D is None."""
+def _counted(n: int, D: int | None, w: int) -> tuple[int | None, int | None]:
+    """(D, cofactor one-count) of n at its order D, or (None, None) when D is None.
+    A nonzero w is a count by theorem, taken once x^D = 1 mod n proves D a
+    period; else Newton builds the cofactor, whose product check proves it."""
     if D is None:
         return None, None
     ensure_bits(D + 1)
-    # proved by its own product check, so never None here
-    return D, _cofactor_int(n, D).bit_count()
+    if w and _modpow_x_int(D, n) == 1:
+        return D, w
+    q = _cofactor_int(n, D)
+    if q is None:
+        raise ArithmeticError(f"{D} is not a period of {_text_from_int(n)}")
+    return D, q.bit_count()
 
 
 def _make_record(n: int, D: int | None, ones: int | None) -> ScanRecord:
@@ -185,31 +191,33 @@ def _chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...], t
     chunk never waits on orders of a higher degree.  Reversal keeps the degree,
     so the partner m = rev n > n of a member lies in its chunk or a later one.
 
-    The one place that chooses how orders are found: up to degree _DENSE_MAX
-    a corpus of shape all holds every factor of its members, so the sieve,
-    grown as the corpus reaches each degree, gives a chunk its members'
-    orders (None past the bound, and for 1).  Other chunks carry None, and
-    their worker factors each member."""
+    The one place that chooses how orders and counts are found: up to degree
+    _DENSE_MAX a corpus of shape all holds every factor of its members, so
+    the sieve, grown as the corpus reaches each degree, gives a chunk its
+    members' (order, count by theorem or 0), and (None, 0) past the bound
+    and for 1.  Other chunks carry None, and their worker factors each
+    member."""
     bound = config.order_bound
     top = inf if bound is None else bound
     sieve = _dense_orders() if config.shape == "all" else None
     for w, same_degree in groupby(_corpus(config), int.bit_length):
         if w > _DENSE_MAX + 1:
             sieve = None  # frees the tables
-        table = None if sieve is None else next(sieve)
+        orders, ones = (None, None) if sieve is None else next(sieve)
         while chunk := tuple(islice(same_degree, _CHUNK)):
-            orders = None if table is None else tuple(
-                D if 0 < D <= top else None for D in table[chunk[0] >> 1 : (chunk[-1] >> 1) + 1]
+            span = slice(chunk[0] >> 1, (chunk[-1] >> 1) + 1)
+            counts = None if sieve is None else tuple(
+                (D, c) if 0 < D <= top else (None, 0) for D, c in zip(orders[span], ones[span])
             )
-            yield bound, chunk, orders
+            yield bound, chunk, counts
 
 
 def _scan_chunk(task: tuple) -> tuple[tuple[int, ...], list]:
     """The chunk's members, with (order, ones) for each n <= rev n and None for
-    the rest, from the orders the chunk carries if it has them."""
-    bound, members, orders = task
+    the rest, from the (order, count) pairs the chunk carries if it has them."""
+    bound, members, counts = task
     return members, [
-        (_record(n, bound) if orders is None else _counted(n, orders[i]))
+        (_record(n, bound) if counts is None else _counted(n, *counts[i]))
         if _reciprocal_int(n) >= n else None
         for i, n in enumerate(members)
     ]

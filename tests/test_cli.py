@@ -61,6 +61,13 @@ def test_order_refuses_an_index_past_the_decimal_digit_limit_and_names_hex(capsy
     )
 
 
+def test_repr_refuses_a_digit_past_the_decimal_digit_limit(capsys):
+    # 4,400 digits, as in the index case above.
+    code, out, err = run(capsys, "repr", "--set", "{0,1,1" + "0" * 4399 + "}", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: digit of 4400 digits is too long to read\n"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

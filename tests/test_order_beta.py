@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -207,18 +208,80 @@ def _kernel_orders() -> dict[int, int]:
 def test_dense_orders_match_the_kernel_below_2_15():
     sieve = _dense_orders()
     for d in range(15):
-        table = next(sieve)
-        assert len(table) == 1 << d  # every odd n < 2^(d + 1), at n >> 1
-    assert table[0] == 0  # the constant 1 has no order
+        table, ones = next(sieve)
+        assert len(table) == len(ones) == 1 << d  # every odd n < 2^(d + 1), at n >> 1
+    assert table[0] == ones[0] == 0  # the constant 1 has no order
     assert {f: table[f >> 1] for f in range(3, 1 << 15, 2)} == _kernel_orders()
 
 
 def test_dense_orders_match_the_stepwise_oracle_below_2_9():
     sieve = _dense_orders()
     for _ in range(9):
-        table = next(sieve)
+        table, _ones = next(sieve)
     for f in range(3, 1 << 9, 2):
         assert table[f >> 1] == ref_order(set(F2Poly(f).exponents()), 1 << (f.bit_length() - 1)), f
+
+
+def _products_of_coprime_primitives(degree_max: int) -> set[int]:
+    """Every f of degree <= degree_max that is a product of distinct primitive
+    polynomials of pairwise coprime degrees, 1 + x among them: those of
+    degree k with order 2^k - 1 (Lidl & Niederreiter, Thm 3.16)."""
+    primitive: dict[int, list[int]] = {}
+    for f, D in _kernel_orders().items():
+        k = f.bit_length() - 1
+        if k <= degree_max and D == (1 << k) - 1:
+            primitive.setdefault(k, []).append(f)
+    out: set[int] = set()
+
+    def extend(f: int, degrees: tuple[int, ...]) -> None:
+        # Factors are taken by rising degree; degree 1 has only 1 + x.
+        for k in range(degrees[-1] + 1 if degrees else 1, degree_max - f.bit_length() + 2):
+            if all(gcd(k, e) == 1 for e in degrees):
+                for p in primitive[k]:
+                    out.add(g := _mul_int(f, p))
+                    extend(g, degrees + (k,))
+
+    extend(1, ())
+    return out
+
+
+def test_dense_counts_match_newton_on_every_covered_polynomial_below_2_15():
+    sieve = _dense_orders()
+    for _ in range(15):
+        table, ones = next(sieve)
+    covered = {f for f in range(3, 1 << 15, 2) if ones[f >> 1]}
+    assert covered == _products_of_coprime_primitives(14)
+    # 1 + x, then (1 + x)(1 + x + x^2) and (1 + x + x^2)(1 + x + x^3), orders 3 and 21.
+    assert len(covered) == 5831 and {3, 9, 49} <= covered
+    assert ones[3 >> 1] == 1  # 1 + x: order 1, cofactor 1
+    assert ones[31 >> 1] == 0  # x^4 + x^3 + x^2 + x + 1: irreducible, order 5
+    assert ones[5 >> 1] == ones[21 >> 1] == 0  # (1 + x)^2 and (1 + x + x^2)^2
+    assert ones[15 >> 1] == 0  # (1 + x)^3
+    for f in sorted(covered):
+        D = _kernel_orders()[f]
+        assert ones[f >> 1] == _cofactor_int(f, D).bit_count(), f
+
+
+@cache
+def _sieve_to_degree_16() -> tuple:
+    sieve = _dense_orders()
+    for _ in range(17):
+        tables = next(sieve)
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1 << 14, max_value=(1 << 16) - 1))
+@example(((1 << 15) | 3) >> 1)  # x^15 + x + 1, primitive
+def test_dense_counts_match_newton_on_degrees_15_and_16(i):
+    # Each drawn odd f of degree 15 or 16: a count, where the sieve gives one,
+    # is Newton's, and the order is the factoring kernel's.
+    orders, ones = _sieve_to_degree_16()
+    f = 2 * i + 1
+    D = orders[i]
+    assert D == _order_int(f, None)
+    if ones[i]:
+        assert ones[i] == _cofactor_int(f, D).bit_count(), f
 
 
 def test_newton_cofactor_matches_division_on_every_small_polynomial():

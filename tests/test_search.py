@@ -22,8 +22,8 @@ from f2rep import (
     write_scan_jsonl,
 )
 from f2rep import search
-from f2rep.order_beta import _dense_orders, _order_int
-from f2rep.search import _corpus, _make_record, _order_ceiling, _record
+from f2rep.order_beta import _cofactor_int, _dense_orders, _order_int
+from f2rep.search import _corpus, _counted, _make_record, _order_ceiling, _record
 
 _WEIGHT = {"all": None, "trinomial": 3, "quadrinomial": 4}
 
@@ -258,9 +258,9 @@ def test_the_sieve_grows_in_this_process_up_to_the_limit_only(monkeypatch, jobs)
     grown = []
 
     def dense_orders():
-        for table in _dense_orders():
+        for table, ones in _dense_orders():
             grown.append(len(table))
-            yield table
+            yield table, ones
 
     def order_int(n, bound):
         if n < 1 << 7:
@@ -276,6 +276,53 @@ def test_the_sieve_grows_in_this_process_up_to_the_limit_only(monkeypatch, jobs)
     for shape in ("trinomial", "quadrinomial"):
         run(ScanConfig(degree_max=9, shape=shape))
     assert len(grown) == 7
+
+
+def _counts_by_theorem(degree_max: int) -> dict[int, tuple[int, int]]:
+    """(order, count) of every n up to degree_max that the sieve counts by theorem."""
+    sieve = _dense_orders()
+    for _ in range(degree_max + 1):
+        orders, ones = next(sieve)
+    return {2 * i + 1: (orders[i], w) for i, w in enumerate(ones) if w}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_members_counted_by_theorem_never_build_a_cofactor(monkeypatch, jobs):
+    config = ScanConfig(degree_max=12, jobs=jobs)
+    expected = [_make_record(n, *_record(n, None)) for n in _old_filter(config)]
+    covered = _counts_by_theorem(12)
+    assert len(covered) == 1491
+
+    def cofactor_int(n, N):
+        if n in covered:
+            raise AssertionError(f"{n} has its count by theorem but built a cofactor")
+        return _cofactor_int(n, N)
+
+    monkeypatch.setattr(search, "_cofactor_int", cofactor_int)
+    assert run(config) == expected
+
+
+def test_members_counted_by_theorem_past_the_order_bound_are_unresolved():
+    covered = _counts_by_theorem(12)
+    records = {rec.n: rec for rec in run(ScanConfig(degree_max=12, order_bound=83))}
+    past = [n for n, (D, _) in covered.items() if D > 83]
+    assert len(past) > 1000
+    for n in past:
+        assert (records[n].status, records[n].order, records[n].ell1) == ("unresolved", None, None)
+    for n, (D, w) in covered.items():
+        if D <= 83:
+            assert (records[n].status, records[n].order, records[n].ell1) == ("ok", D, w)
+
+
+def test_a_count_by_theorem_needs_its_period_proved(monkeypatch):
+    # x^3 + x + 1 has order 7 and 4 ones; x^7 = 1 mod it proves the period 7.
+    assert _counted(11, 7, 4) == (7, 4)
+    # At 6, no period: neither the count given nor Newton's cofactor is taken.
+    for w in (4, 0):
+        with pytest.raises(ArithmeticError, match="6 is not a period of x\\^3 \\+ x \\+ 1"):
+            _counted(11, 6, w)
+    monkeypatch.setattr(search, "_cofactor_int", lambda *a: pytest.fail("built a cofactor"))
+    assert _counted(11, 7, 4) == (7, 4)
 
 
 @pytest.mark.parametrize("shape", list(_WEIGHT))
