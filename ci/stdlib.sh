@@ -38,6 +38,9 @@ test "$sum" = "99c4d00670694b6d8bd00f035fe10e2d10a958453bf05333243ae20942d0c26e 
 # Past the r <= 12 digest: a 67 Mbit closed form proved by one product, shared with its reciprocal.
 line=$(timeout 60 bash -c 'f2rep family verify --r 13 --variant 2 --reciprocal --allow-large-r')
 [[ "$line" == *" exact=true "* && "$line" == *" prediction=true "* ]]
+# The degree-14 digest at jobs 2, where dense chunks carry table slices to the pool; tier-1 runs jobs 1.
+sum=$(f2rep scan --preset degree14 --jobs 2 | sha256sum)
+test "$sum" = "ce97bec6a36f3231ace469b74a46810e5ade1d8200bba9200ce59d725026e488  -"
 # Past the degree-14 digest: degree 17, the sieve's last, then degree 18, factored.
 sum=$(timeout 120 bash -c 'f2rep scan --degree-max 18 --jobs 2' | sha256sum)
 test "$sum" = "e71d7baee5f1720da539dec22dd556fd92fa526deae965a3d4c5dfa0b4b5dd38  -"

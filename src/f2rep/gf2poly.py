@@ -60,17 +60,23 @@ def ensure_bits(nbits: int) -> None:
         )
 
 
+def _exponents_int(bits: int) -> list[int]:
+    """The exponents of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def _mul_int(a: int, b: int) -> int:
     """Carry-less product: shift-xor schoolbook over the sparser operand."""
-    if a == 0 or b == 0:
-        return 0
     if a.bit_count() > b.bit_count():
         a, b = b, a
     acc = 0
-    while a:
-        low = a & -a
-        acc ^= b << (low.bit_length() - 1)
-        a ^= low
+    for e in _exponents_int(a):
+        acc ^= b << e
     return acc
 
 
@@ -152,15 +158,33 @@ def _reciprocal_int(a: int) -> int:
     return int.from_bytes(a.to_bytes(n, "big").translate(_REV8), "little") >> (8 * n - w)
 
 
+def _terms(bits: int) -> str:
+    """The text of bits, a term per set bit from the top ("" for none)."""
+    exps = reversed(_exponents_int(bits))
+    return " + ".join("1" if e == 0 else "x" if e == 1 else f"x^{e}" for e in exps)
+
+
+class _ByteTerms(dict):
+    """k << 8 | v: the terms of byte v at byte k, made on first use (8 * 256 at most)."""
+
+    def __missing__(self, key: int) -> str:
+        self[key] = text = _terms((key & 0xFF) << (key >> 8 << 3))
+        return text
+
+
+_BYTE_TERMS = _ByteTerms()
+
+
 def _text_from_int(bits: int) -> str:
-    if bits == 0:
-        return "0"
+    if not bits or bits >> 64:
+        return _terms(bits) or "0"
+    n = (bits.bit_length() + 7) >> 3
+    key = n << 8
     parts = []
-    v = bits
-    while v:
-        e = v.bit_length() - 1
-        v ^= 1 << e
-        parts.append("1" if e == 0 else "x" if e == 1 else f"x^{e}")
+    for v in bits.to_bytes(n, "big"):
+        key -= 0x100
+        if v:
+            parts.append(_BYTE_TERMS[key | v])
     return " + ".join(parts)
 
 
@@ -227,13 +251,7 @@ class F2Poly:
 
     def exponents(self) -> list[int]:
         """Exponents with coefficient 1, ascending."""
-        out = []
-        v = self._bits
-        while v:
-            low = v & -v
-            out.append(low.bit_length() - 1)
-            v ^= low
-        return out
+        return _exponents_int(self._bits)
 
     def to_text(self) -> str:
         return _text_from_int(self._bits)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .gf2poly import F2Poly, _reciprocal_int, ensure_bits
+from .gf2poly import F2Poly, _exponents_int, _reciprocal_int, ensure_bits
 from .gf2poly import _divrem_int, _gcd_int, _mod_int, _modpow_x_int, _mul_int, _square_int
 
 __all__ = [
@@ -239,19 +239,23 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 def _cofactor_int(fbits: int, N: int) -> int | None:
-    """(1 + x^N) / fbits for deg fbits >= 1, or None when fbits does not
-    divide 1 + x^N.  The quotient is the power series 1/fbits mod
+    """(1 + x^N) / fbits for odd fbits of degree >= 1, or None when fbits does
+    not divide 1 + x^N.  The quotient is the power series 1/fbits mod
     x^(N - deg + 1), by Newton's step g <- g(2 - fg), which is g <- fg^2 over
     GF(2), doubling the precision (Sieveking 1972, Kung 1974); one product
-    then proves it, and with it that N is a period."""
+    then proves it, and with it that N is a period.  f's taps, its exponents
+    above 0, are read once: f g is g xored with g shifted by each tap."""
     L = N - fbits.bit_length() + 2
     if L < 1:
         return None
+    taps = _exponents_int(fbits ^ 1)
     g = 1
     for j in reversed(range((L - 1).bit_length())):
-        # One step per statement, so each input is freed before the next is built.
-        g = _square_int(g)
-        g = _mul_int(fbits, g)
+        sq = _square_int(g)
+        g = sq
+        for e in taps:
+            g ^= sq << e
+        del sq  # the square is freed before the mask and the masked series are built
         g &= (1 << -(-L >> j)) - 1
     return g if _proves_period(fbits, g, N) else None
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, islice
 from math import inf
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .gf2poly import _modpow_x_int, _reciprocal_int, _text_from_int, bit_cap, ensure_bits
 from .order_beta import _cofactor_int, _dense_orders, _order_int, _stats
@@ -83,8 +83,7 @@ class ScanConfig:
         return 1 << (self.degree_max + 1)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     n: int
     poly: str
     degree: int
@@ -152,7 +151,7 @@ def _make_record(n: int, D: int | None, ones: int | None) -> ScanRecord:
         status = "degenerate" if n == 1 else "unresolved"
         return ScanRecord(n, _text_from_int(n), d, *[None] * 8, status)
     # _stats gives ell1, ell0, gamma, robust, gap and bound_ok: the fields after order_exact.
-    return ScanRecord(n, _text_from_int(n), d, D, True, *_stats(ones, D, d), "ok")
+    return ScanRecord._make((n, _text_from_int(n), d, D, True, *_stats(ones, D, d), "ok"))
 
 
 def _corpus(config: ScanConfig) -> Iterator[int]:
@@ -186,19 +185,17 @@ def _order_ceiling(config: ScanConfig) -> int:
     return ceiling if config.order_bound is None else min(config.order_bound, ceiling)
 
 
-def _chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...], tuple | None]]:
+def _chunks(config: ScanConfig) -> Iterator[tuple]:
     """The corpus in chunks of at most _CHUNK members of one degree, so that a
     chunk never waits on orders of a higher degree.  Reversal keeps the degree,
     so the partner m = rev n > n of a member lies in its chunk or a later one.
 
     The one place that chooses how orders and counts are found: up to degree
     _DENSE_MAX a corpus of shape all holds every factor of its members, so
-    the sieve, grown as the corpus reaches each degree, gives a chunk its
-    members' (order, count by theorem or 0), and (None, 0) past the bound
-    and for 1.  Other chunks carry None, and their worker factors each
-    member."""
-    bound = config.order_bound
-    top = inf if bound is None else bound
+    the sieve, grown as the corpus reaches each degree, gives a chunk the
+    slices of its order and count tables (order 0 for 1, count 0 where no
+    theorem gives one), which pickle as bytes.  Other chunks carry None, and
+    their worker factors each member."""
     sieve = _dense_orders() if config.shape == "all" else None
     for w, same_degree in groupby(_corpus(config), int.bit_length):
         if w > _DENSE_MAX + 1:
@@ -206,19 +203,21 @@ def _chunks(config: ScanConfig) -> Iterator[tuple[int | None, tuple[int, ...], t
         orders, ones = (None, None) if sieve is None else next(sieve)
         while chunk := tuple(islice(same_degree, _CHUNK)):
             span = slice(chunk[0] >> 1, (chunk[-1] >> 1) + 1)
-            counts = None if sieve is None else tuple(
-                (D, c) if 0 < D <= top else (None, 0) for D, c in zip(orders[span], ones[span])
-            )
-            yield bound, chunk, counts
+            tables = (None, None) if sieve is None else (orders[span], ones[span])
+            yield config.order_bound, chunk, *tables
 
 
 def _scan_chunk(task: tuple) -> tuple[tuple[int, ...], list]:
     """The chunk's members, with (order, ones) for each n <= rev n and None for
-    the rest, from the (order, count) pairs the chunk carries if it has them."""
-    bound, members, counts = task
+    the rest, from the chunk's table slices if it has them, (None, None) past
+    the bound and for 1."""
+    bound, members, orders, ones = task
+    top = inf if bound is None else bound
     return members, [
-        (_record(n, bound) if counts is None else _counted(n, *counts[i]))
-        if _reciprocal_int(n) >= n else None
+        None if _reciprocal_int(n) < n
+        else _record(n, bound) if orders is None
+        else _counted(n, D, ones[i]) if 0 < (D := orders[i]) <= top
+        else (None, None)
         for i, n in enumerate(members)
     ]
 
@@ -327,20 +326,25 @@ def _scan_row(rec: ScanRecord) -> tuple:
     )
 
 
+_BOOL_CELL = ("false", "true")
+
+
 def _csv_cell(v: object) -> str:
-    if v is None:
-        return ""
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    return str(v)
+    return "" if v is None else _BOOL_CELL[v] if type(v) is bool else str(v)
 
 
 def write_scan_csv(records: Iterable[ScanRecord], out: TextIO) -> None:
     out.write(",".join(SCAN_COLUMNS) + "\n")
+    tf = _BOOL_CELL
     for rec in records:
-        out.write(",".join(map(_csv_cell, _scan_row(rec))) + "\n")
+        if rec.status == "ok":  # every field is set: three bools, gamma, and ints
+            n, poly, d, D, exact, ell1, ell0, g, robust, gap, bound_ok, _ = rec
+            out.write(
+                f"{n},{poly},{d},{D},{tf[exact]},{ell1},{ell0},{g.numerator},{g.denominator},"
+                f"{tf[robust]},{gap},{tf[bound_ok]},ok\n"
+            )
+        else:
+            out.write(",".join(map(_csv_cell, _scan_row(rec))) + "\n")
 
 
 def write_scan_jsonl(records: Iterable[ScanRecord], out: TextIO) -> None:

@@ -108,6 +108,35 @@ def ref_exact(q: int, N: int) -> bool:
     return True
 
 
+def ref_text(bits: int) -> str:
+    """The expression text of bits, one term per set bit from the top."""
+    if bits == 0:
+        return "0"
+    parts = []
+    v = bits
+    while v:
+        e = v.bit_length() - 1
+        v ^= 1 << e
+        parts.append("1" if e == 0 else "x" if e == 1 else f"x^{e}")
+    return " + ".join(parts)
+
+
+def ref_csv_row(rec) -> str:
+    """A scan record's CSV line, cell by cell: None is empty, a bool is
+    true or false, and gamma is split into numerator and denominator."""
+    g = rec.gamma
+    num, den = (None, None) if g is None else (g.numerator, g.denominator)
+    values = (
+        rec.n, rec.poly, rec.degree, rec.order, rec.order_exact, rec.ell1, rec.ell0,
+        num, den, rec.robust, rec.gap, rec.bound_ok, rec.status,
+    )
+    cells = (
+        "" if v is None else "true" if v is True else "false" if v is False else str(v)
+        for v in values
+    )
+    return ",".join(cells) + "\n"
+
+
 def ref_parity_series_via_cofactor(A, N: int) -> list[int]:
     """The first N count parities of digit set A, rebuilt by tiling the
     cofactor bits of its parity profile."""

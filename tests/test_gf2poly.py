@@ -9,19 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from f2rep import BitCapExceeded, F2Poly, parse_poly
+from f2rep import BitCapExceeded, F2Poly, gf2poly, parse_poly
 from f2rep.gf2poly import (
     _divrem_int,
+    _exponents_int,
     _mod_int,
     _modpow_x_int,
     _mul_int,
     _reciprocal_int,
     _square_int,
+    _text_from_int,
     ensure_bits,
 )
 from f2rep.order_beta import _stats
 
-from reference import bits_of, ref_divmod, ref_mul, ref_reciprocal, ref_xpow_mod
+from reference import bits_of, ref_divmod, ref_mul, ref_reciprocal, ref_text, ref_xpow_mod
 
 # Nonzero bit patterns; 600 bits is comfortably past any small-case special path.
 nonzero_bits = st.integers(min_value=1, max_value=(1 << 600) - 1)
@@ -132,6 +134,31 @@ def test_text_forms_round_trip(bits):
     assert parse_poly(p.to_text()) == p
     assert parse_poly(p.to_hex()) == p
     assert parse_poly(f"@{p.bits}") == p
+
+
+def test_exponents_are_the_set_bits_ascending():
+    for n in range(1 << 12):
+        assert _exponents_int(n) == [i for i in range(n.bit_length()) if n >> i & 1], n
+    assert _exponents_int((1 << 5000) | (1 << 4097) | 1) == [0, 4097, 5000]
+
+
+def test_text_from_the_byte_table_matches_the_term_loop():
+    for n in range(1 << 16):
+        assert _text_from_int(n) == ref_text(n), n
+    # Either side of 64 bits, where the byte table gives way to the term loop.
+    edges = [(1 << 64) - 1, 1 << 63, (1 << 63) | 1, 1 << 64, (1 << 64) | 1, (1 << 65) - 1]
+    edges += [(1 << k) | 0xA5 | (0x5A << (k - 12)) for k in range(56, 72)]
+    for n in edges:
+        assert _text_from_int(n) == ref_text(n), n
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.getrandbits(rng.randrange(1, 64))
+        assert _text_from_int(n) == ref_text(n), n
+    sparse = (1 << (1 << 20) - 1) | (1 << 65537) | (1 << 64) | (1 << 63) | 3
+    assert _text_from_int(sparse) == ref_text(sparse) == "x^1048575 + x^65537 + x^64 + x^63 + x + 1"
+    # A term string per (byte position, byte value) up to 64 bits, and no more.
+    assert len(gf2poly._BYTE_TERMS) <= 8 * 256
+    assert all(key >> 8 < 8 and key & 0xFF for key in gf2poly._BYTE_TERMS)
 
 
 def test_repr_compact_for_many_terms():

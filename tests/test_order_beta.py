@@ -23,6 +23,7 @@ from f2rep.order_beta import (
     _order_int,
     _order_scan_int,
     _prime_factors,
+    _proves_period,
     _stats,
 )
 
@@ -285,6 +286,8 @@ def test_dense_counts_match_newton_on_degrees_15_and_16(i):
 
 
 def test_newton_cofactor_matches_division_on_every_small_polynomial():
+    # Fails if a tap is dropped from the list, the constant term is kept in
+    # it, or a step's mask is built at the previous precision.
     for f in range(3, 1 << 13, 2):
         D = _kernel_orders()[f]
         for N in (D, 2 * D):
@@ -294,6 +297,20 @@ def test_newton_cofactor_matches_division_on_every_small_polynomial():
             for N in (D - 1, D + 1, f.bit_length() - 2):
                 assert _cofactor_int(f, N) is None, (f, N)
     assert _cofactor_int(3, 0) is None
+
+
+def test_the_product_check_reads_only_a_true_quotient():
+    # x^4 + x + 1: primitive, order 15.
+    f = 0b10011
+    q = ref_cofactor(f, 15)
+    assert _proves_period(f, q, 15)
+    assert _proves_period(f, ref_cofactor(f, 30), 30)
+    assert not _proves_period(f, q, 16)
+    for bad in (q ^ 1, q ^ 2, q ^ (1 << q.bit_length() - 1), q << 1):
+        assert not _proves_period(f, bad, 15)
+    # f with x dropped, with 1 dropped, and with x^5 added.
+    for wrong in (0b10001, 0b10010, 0b110011):
+        assert not _proves_period(wrong, q, 15)
 
 
 def test_exact_holds_only_at_the_order_on_every_small_polynomial():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from f2rep import (
     PRESETS,
     SCAN_COLUMNS,
     ScanConfig,
+    ScanRecord,
     figure_data,
     gap_census,
     scan,
@@ -23,7 +25,9 @@ from f2rep import (
 )
 from f2rep import search
 from f2rep.order_beta import _cofactor_int, _dense_orders, _order_int
-from f2rep.search import _corpus, _counted, _make_record, _order_ceiling, _record
+from f2rep.search import _chunks, _corpus, _counted, _make_record, _order_ceiling, _record
+
+from reference import ref_csv_row
 
 _WEIGHT = {"all": None, "trinomial": 3, "quadrinomial": 4}
 
@@ -159,6 +163,58 @@ def test_csv_shape_and_encoding():
     assert lines[3] == "5,x^2 + 1,2,2,true,1,1,1,2,false,0,true,ok"
     assert lines[4] == "7,x^2 + x + 1,2,3,true,2,1,2,3,false,1,true,ok"
     assert len(lines) == 5
+
+
+def test_csv_rows_of_every_status_match_the_cell_by_cell_row():
+    records = run(ScanConfig(degree_max=6))
+    records += run(ScanConfig(degree_max=8, order_bound=20))  # unresolved past 20
+    records += [
+        # Hand-built: a period that is not the order, and ints that equal 0 and 1,
+        # which a lookup keyed by True or False would print as false and true.
+        ScanRecord(5, "x^2 + 1", 2, 4, False, 2, 2, Fraction(1, 2), False, 0, True, "ok"),
+        ScanRecord(3, "x + 1", 1, 1, True, 1, 0, Fraction(1, 1), False, 1, False, "ok"),
+        ScanRecord(7, "x^2 + x + 1", 2, 3, True, 0, 1, Fraction(0, 1), True, 1, True, "ok"),
+    ]
+    statuses = {rec.status for rec in records}
+    assert statuses == {"ok", "unresolved", "degenerate"}
+    assert {rec.robust for rec in records} == {True, False, None}
+    buf = io.StringIO()
+    write_scan_csv(records, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert lines[0] == ",".join(SCAN_COLUMNS) + "\n"
+    assert lines[1:] == [ref_csv_row(rec) for rec in records]
+    assert lines[-3] == "5,x^2 + 1,2,4,false,2,2,1,2,false,0,true,ok\n"
+    assert lines[-2] == "3,x + 1,1,1,true,1,0,1,1,false,1,false,ok\n"
+    assert lines[-1] == "7,x^2 + x + 1,2,3,true,0,1,0,1,true,1,true,ok\n"
+
+
+def test_scan_record_is_a_named_tuple_of_twelve_fields():
+    assert ScanRecord._fields == (
+        "n", "poly", "degree", "order", "order_exact", "ell1", "ell0",
+        "gamma", "robust", "gap", "bound_ok", "status",
+    )
+    rec = run(ScanConfig(index_max=8))[3]
+    assert rec == (7, "x^2 + x + 1", 2, 3, True, 2, 1, Fraction(2, 3), False, 1, True, "ok")
+    with pytest.raises(AttributeError):
+        rec.order = 4
+    assert rec._replace(order=4).order == 4 and rec.order == 3
+    assert run(ScanConfig(degree_max=10)) == run(ScanConfig(degree_max=10, jobs=2))
+
+
+def test_dense_chunks_carry_table_slices():
+    # Shape all up to the dense limit: each chunk carries its members' order
+    # and count slices, index by index; other shapes carry none.
+    sieve = _dense_orders()
+    for _ in range(11):
+        orders, ones = next(sieve)
+    for task in _chunks(ScanConfig(degree_max=10, order_bound=83)):
+        bound, members, chunk_orders, chunk_ones = task
+        assert bound == 83
+        assert type(chunk_orders) is type(chunk_ones) is array
+        assert list(chunk_orders) == [orders[n >> 1] for n in members]
+        assert list(chunk_ones) == [ones[n >> 1] for n in members]
+    for task in _chunks(ScanConfig(degree_max=10, shape="trinomial")):
+        assert task[2:] == (None, None)
 
 
 def test_jsonl_round_trips():
