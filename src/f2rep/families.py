@@ -7,21 +7,22 @@ counts (4^r - 3^r + 2^r, 3^r + 1).  Each member has a coefficient-reversed
 sibling with identical statistics.  Robustness is a theorem only for r >= 3;
 smaller r still builds and verifies but is reported as measured.
 
-verify_family proves each member's predicted period N with one product:
-h_closed_form builds the cofactor h from a doubling product, and
-f h == 1 + x^N shows that N is a period and, a cofactor being unique, that h
-is its cofactor.  Newton inversion runs only if the product fails.  A
-reciprocal member shares its base member's proof and verdict, since
+verify_family proves each member's predicted period N by walking the
+closed-form cofactor h in windows of about 2^18 bits: f h == 1 + x^N shows
+that N is a period and, a cofactor being unique, that h is its cofactor.  No
+4^r-bit h or product is built.  Newton inversion runs only if the walk fails.
+A reciprocal member shares its base member's proof and verdict, since
 rev f rev h = rev(1 + x^N) = 1 + x^N.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .gf2poly import BitCapExceeded, F2Poly, bit_cap, ensure_bits
-from .order_beta import _exact, _proves_period, _stats, cofactor
+from .gf2poly import BitCapExceeded, F2Poly, _exponents_int, _mul_int, bit_cap, ensure_bits
+from .order_beta import _exact, _prime_factors, _stats, cofactor
 
 __all__ = [
     "EXACT_ORDER_CEILING",
@@ -37,6 +38,8 @@ __all__ = [
 # Exact orders are established for r up to 10; beyond that verification is
 # an extension, gated behind an explicit flag (cost grows like 4^r).
 EXACT_ORDER_CEILING = 10
+
+_WINDOW_LOG2 = 18  # a window of the walk over h holds 2^k terms, about 2^18 bits
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,52 @@ def h_closed_form(r: int, variant: int) -> F2Poly:
     return F2Poly(ones ^ blocks)
 
 
+def _h_windows(r: int, variant: int) -> Iterator[tuple[int, int]]:
+    """h_closed_form(r, variant) as (bits, width) windows from x^0 to x^(N+1):
+    2^r (s+1) ones xored with x^(s(n+1)) (1+x)^n, n < 2^r, each term ending
+    below the next.  The 2^k terms from n0 are x^(s(n0+1)) (1+x)^n0 P, P the
+    doubling product of k factors; (1+x)^n0 is a shift-xor per set bit of n0."""
+    two_r = 1 << r
+    s = two_r - 1 if variant == 1 else two_r
+    k = min(r, max(0, _WINDOW_LOG2 - r))
+    N = family_prediction(FamilySpec(r, variant)).period
+    P = _doubling_product(s, s + 1, k)
+    lo = 0
+    for n0 in range(0, two_r, 1 << k):
+        chunk = P
+        for b in _exponents_int(n0):
+            chunk ^= chunk << (1 << b)
+        hi = s * (n0 + (1 << k) + 1) if n0 + (1 << k) < two_r else N + 1
+        ones = (1 << min(two_r * (s + 1), hi) - lo) - 1
+        yield ones ^ (chunk << s * (n0 + 1) - lo), hi - lo
+        lo = hi
+
+
+def _walk(fbits: int, N: int, windows: Iterable[tuple[int, int]]) -> tuple[int, bool] | None:
+    """(ones, exact) of the h the windows make from x^0, if f h == 1 + x^N: each
+    window of f h, with what the windows below spill into it, matches 1 + x^N,
+    and nothing spills past x^N.  Exactness is _exact's test on the deg f bits
+    of h just below each x^(N/p), which carry holds."""
+    d = fbits.bit_length() - 1
+    taps = _exponents_int(fbits ^ 1)
+    marks = [N // p for p in _prime_factors(N) if N // p >= d]
+    lo = carry = spill = ones = 0
+    exact = True
+    for w, width in windows:
+        p = w ^ spill ^ (lo == 0) ^ (1 << (N - lo) if lo <= N < lo + width else 0)
+        for e in taps:
+            p ^= w << e
+        spill = p >> width
+        if w >> width or p != spill << width:
+            return None
+        reads = ((w << d | carry) >> M - lo & (1 << d) - 1 for M in marks if lo <= M < lo + width)
+        exact = exact and all(_mul_int(fbits, v) >> d != 1 for v in reads)
+        carry = carry >> width | w >> max(0, width - d) << max(0, d - width)
+        ones += w.bit_count()
+        lo += width
+    return (ones, exact) if lo == N + 1 and not spill else None
+
+
 def _admit(spec: FamilySpec, allow_large_r: bool) -> None:
     """Refuse a member over the exact-order ceiling or over the bit cap."""
     if spec.r > EXACT_ORDER_CEILING and not allow_large_r:
@@ -145,14 +194,14 @@ def _reciprocal_verdict(v: FamilyVerdict) -> FamilyVerdict:
 def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVerdict:
     """Check one family member against its predictions.
 
-    The closed-form cofactor h is proved by one product f h == 1 + x^N at
-    the predicted period N.  If the product fails, Newton inversion computes
-    the cofactor instead, and raises unless N is a period.  The verdict
-    records whether N is the exact order, whether the cofactor counts match
-    the predicted (c, d), whether the closed form held, and the measured
-    robustness.  A reciprocal member takes its base member's verdict, with
-    closed_form_matches None.  r above EXACT_ORDER_CEILING needs
-    allow_large_r=True.
+    The closed-form cofactor h is proved by a walk over its windows that
+    checks f h == 1 + x^N at the predicted period N and counts h's ones.  If
+    the walk fails, Newton inversion computes the cofactor instead, and
+    raises unless N is a period.  The verdict records whether N is the exact
+    order, whether the cofactor counts match the predicted (c, d), whether
+    the closed form held, and the measured robustness.  A reciprocal member
+    takes its base member's verdict, with closed_form_matches None.  r above
+    EXACT_ORDER_CEILING needs allow_large_r=True.
     """
     _admit(spec, allow_large_r)
     if spec.reciprocal:
@@ -160,17 +209,18 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
         return _reciprocal_verdict(base)
     pred = family_prediction(spec)
     f = build_family(spec)
-    h = h_closed_form(spec.r, spec.variant).bits
-    proved = _proves_period(f.bits, h, pred.period)
-    q = h if proved else cofactor(f, pred.period).bits  # raises unless N is a period
-    ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), pred.period, f.degree)
+    walked = _walk(f.bits, pred.period, _h_windows(spec.r, spec.variant))
+    if walked is None:
+        q = cofactor(f, pred.period).bits  # raises unless N is a period
+    count, exact = walked or (q.bit_count(), _exact(f.bits, q, pred.period))
+    ones, zeros, gamma, robust, _, _ = _stats(count, pred.period, f.degree)
     return FamilyVerdict(
         spec=spec,
         period=pred.period,
-        order_exact=_exact(f.bits, q, pred.period),
+        order_exact=exact,
         beta=(ones, zeros),
         gamma=gamma,
         matches_prediction=(ones, zeros) == (pred.c, pred.d),
-        closed_form_matches=proved,
+        closed_form_matches=walked is not None,
         robust=robust,
     )

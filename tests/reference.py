@@ -4,10 +4,12 @@ the identities of the paper's family proofs, written out for direct checking.
 Nearly every oracle works on plain sets of exponents, plain lists, plain
 int shifts or direct recursion, so none of the bit-packed production code is
 involved.
-Two exceptions build on f2rep.  ref_cofactor keeps the exact long division
+Three exceptions build on f2rep.  ref_cofactor keeps the exact long division
 the cofactor used to be taken with; that division kernel is itself checked
 against ref_divmod.  ref_parity_series_via_cofactor tiles the cofactor of
 parity_profile, a second route to the stream that parity_series computes.
+ref_verify_family keeps the whole-int family proof that the window walk
+replaced: the whole closed form, one product, one popcount and _exact.
 
 The identities build on f2rep's F2Poly and bit cap: the doubling product
 behind the family period (g_product), the telescoping (a, b) trinomial
@@ -24,7 +26,14 @@ import math
 from itertools import product
 
 from f2rep import F2Poly, ensure_bits
-from f2rep.families import _doubling_product
+from f2rep.families import (
+    FamilyVerdict,
+    _doubling_product,
+    build_family,
+    family_prediction,
+    h_closed_form,
+)
+from f2rep.order_beta import _exact, _proves_period, _stats, cofactor
 
 
 def ref_mul(a: set[int], b: set[int]) -> set[int]:
@@ -179,6 +188,28 @@ def ref_h_closed_form(r: int, variant: int) -> int:
         block ^= block << 1
     ones = (1 << (4**r - two_r)) - 1 if variant == 1 else (1 << 4**r) - 1
     return ones ^ s
+
+
+def ref_verify_family(spec):
+    """verify_family's verdict on a base member, from the whole closed form h:
+    f h == 1 + x^N by one product, h's popcount, and _exact on h; Newton only
+    when the product fails."""
+    pred = family_prediction(spec)
+    f = build_family(spec)
+    h = h_closed_form(spec.r, spec.variant).bits
+    proved = _proves_period(f.bits, h, pred.period)
+    q = h if proved else cofactor(f, pred.period).bits
+    ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), pred.period, f.degree)
+    return FamilyVerdict(
+        spec=spec,
+        period=pred.period,
+        order_exact=_exact(f.bits, q, pred.period),
+        beta=(ones, zeros),
+        gamma=gamma,
+        matches_prediction=(ones, zeros) == (pred.c, pred.d),
+        closed_form_matches=proved,
+        robust=robust,
+    )
 
 
 def ref_reciprocal(a: set[int]) -> set[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -142,15 +143,35 @@ def test_family_range_parallel_matches_serial(capsys):
 
 
 def test_family_range_builds_one_closed_form_per_pair_and_reverses_nothing(capsys, monkeypatch):
+    # One walk over the closed form's windows per (r, variant); the whole-int form is never built.
     built = []
-    real = families.h_closed_form
-    monkeypatch.setattr(families, "h_closed_form", lambda r, v: built.append((r, v)) or real(r, v))
+    real = families._h_windows
+    monkeypatch.setattr(families, "_h_windows", lambda r, v: built.append((r, v)) or real(r, v))
+    monkeypatch.setattr(families, "h_closed_form", lambda r, v: pytest.fail("built whole"))
     for mod in (gf2poly, families, order_beta, search, cli):
         if hasattr(mod, "_reciprocal_int"):
             monkeypatch.setattr(mod, "_reciprocal_int", lambda a: pytest.fail("reversed"))
     code, out, _ = run(capsys, "family", "range", "--r-max", "6")
     assert (code, len(out.splitlines())) == (0, 24)
     assert sorted(built) == [(r, v) for r in range(1, 7) for v in (1, 2)]
+
+
+def test_family_range_to_r13_fits_in_60_mb_of_address_space():
+    # The walk holds about 2^18 bits of a closed form at a time; building the
+    # 67 Mbit closed form of r = 13 and its product took 68 MB.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    limit = 60_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2rep.cli", "family", "range", "--r-max", "13", "--allow-large-r"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "fadd2842e8a5d8dc0160fec80949a0b6eb3d6ddb9357074a6894018756c2f4f4"
+    )
 
 
 def test_scan_preset_robust_only(capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +20,7 @@ from f2rep import (
     cofactor,
     family_prediction,
     h_closed_form,
+    order,
     parse_poly,
     verify_family,
 )
@@ -33,9 +34,11 @@ from reference import (
     glaisher_sum,
     odd_binomial_count,
     one_plus_x_pow,
+    ref_cofactor,
     ref_exact,
     ref_h_closed_form,
     ref_odd_binomials,
+    ref_verify_family,
 )
 
 
@@ -249,8 +252,15 @@ def test_verify_family_proves_the_closed_form_without_newton(monkeypatch):
 def test_a_wrong_closed_form_falls_back_to_newton(monkeypatch):
     specs = [FamilySpec(r, v, recip) for r in range(1, 7) for v in (1, 2) for recip in (False, True)]
     truth = {spec: verify_family(spec) for spec in specs}
-    right = families.h_closed_form
-    monkeypatch.setattr(families, "h_closed_form", lambda r, variant: F2Poly(right(r, variant).bits ^ 2))
+    right = families._h_windows
+
+    def first_window_flipped(r, variant):
+        windows = right(r, variant)
+        w, width = next(windows)
+        yield w ^ 2, width
+        yield from windows
+
+    monkeypatch.setattr(families, "_h_windows", first_window_flipped)
     newton = []
     real = families.cofactor
     monkeypatch.setattr(families, "cofactor", lambda f, N: newton.append(N) or real(f, N))
@@ -259,6 +269,149 @@ def test_a_wrong_closed_form_falls_back_to_newton(monkeypatch):
         assert v.closed_form_matches is (None if spec.reciprocal else False)
         assert (v.beta, v.order_exact) == (truth[spec].beta, truth[spec].order_exact)
         assert v.matches_prediction
+    assert len(newton) == len(specs)
+
+
+def _joined(windows) -> tuple[int, int]:
+    """The (bits, width) windows concatenated from x^0, and where they end."""
+    parts = []
+    for w, width in windows:
+        assert w >> width == 0, "a window holds bits past its width"
+        parts.append(format(w, f"0{width}b"))
+    text = "".join(reversed(parts))
+    return int(text, 2), len(text)
+
+
+def _windows_of(q: int, N: int, width: int):
+    """q from x^0 to x^(N+1) in windows of one width, the last one shorter."""
+    for lo in range(0, N + 1, width):
+        w = min(width, N + 1 - lo)
+        yield q >> lo & ((1 << w) - 1), w
+
+
+def _window_settings(r):
+    """The window constant for one window, 2^(r - r//2) windows, one window
+    per term, and the default, each with the number of windows it gives."""
+    return [(64, 1), (r + r // 2, 1 << (r - r // 2)), (0, 1 << r), (families._WINDOW_LOG2, None)]
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+@pytest.mark.parametrize("variant", [1, 2])
+def test_the_windows_concatenate_to_the_closed_form(monkeypatch, r, variant):
+    h = h_closed_form(r, variant).bits
+    N = family_prediction(FamilySpec(r, variant)).period
+    for log2, count in _window_settings(r):
+        monkeypatch.setattr(families, "_WINDOW_LOG2", log2)
+        windows = list(families._h_windows(r, variant))
+        assert count is None or len(windows) == count
+        assert _joined(windows) == (h, N + 1), log2
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+@pytest.mark.parametrize("variant", [1, 2])
+def test_the_window_walk_gives_the_whole_int_verdict(monkeypatch, r, variant):
+    spec = FamilySpec(r, variant)
+    truth = ref_verify_family(spec)
+    assert truth.closed_form_matches
+    for log2, _ in _window_settings(r):
+        monkeypatch.setattr(families, "_WINDOW_LOG2", log2)
+        assert verify_family(spec, allow_large_r=True) == truth, log2
+
+
+def _series_cofactor(fbits: int, M: int) -> int:
+    """(1 + x^M)/f as a power series mod x^(M+1): f times it is 1 + x^M up to
+    x^M, and past it exactly when M is a period."""
+    inv = acc = 0  # acc = f inv
+    for i in range(M + 1):
+        if acc >> i & 1 != (i == 0):
+            inv |= 1 << i
+            acc ^= fbits << i
+    return inv ^ 1 << M
+
+
+def test_the_walk_reads_any_window_stream_of_a_cofactor():
+    # Every f of degree <= 6 at its order D, where it is exact, and at 2D and
+    # 3D, where it is not, in windows narrower and wider than deg f.
+    for fbits in range(3, 1 << 7, 2):
+        d = fbits.bit_length() - 1
+        D = order(F2Poly(fbits))
+        for N in (D, 2 * D, 3 * D):
+            q = ref_cofactor(fbits, N)
+            assert _series_cofactor(fbits, N) == q
+            for width in (1, 3, d, d + 1, 64, N + 1):
+                windows = list(_windows_of(q, N, width))
+                assert families._walk(fbits, N, windows) == (q.bit_count(), _exact(fbits, q, N))
+                for j in (0, N // 2, N - d, N):
+                    assert families._walk(fbits, N, _windows_of(q ^ 1 << j, N, width)) is None
+                # The same h, but a window runs on past x^N, or one holds a
+                # bit past its width that the next one leaves out.
+                assert families._walk(fbits, N, windows + [(0, 1)]) is None
+                i = next((i for i, (w, _) in enumerate(windows[1:]) if w & 1), None)
+                if i is not None:
+                    (w, width_i), (v, width_v) = windows[i : i + 2]
+                    windows[i : i + 2] = [(w | 1 << width_i, width_i), (v ^ 1, width_v)]
+                    assert families._walk(fbits, N, windows) is None
+        # Off a period, f times the series matches 1 + x^M up to x^M and then
+        # spills past it.
+        for M in (D + 1, 2 * D + 1) if D > 1 else ():
+            series = _series_cofactor(fbits, M)
+            for width in (1, d, M + 1):
+                assert families._walk(fbits, M, _windows_of(series, M, width)) is None
+
+
+def _stream_mutants():
+    """Faults in the window stream, each of which the walk must refuse."""
+
+    def flipped(positions):
+        def mutate(windows, r, s, N, d):
+            lo = 0
+            for w, width in windows:
+                for j in positions(r, s, N, d):
+                    if lo <= j < lo + width:
+                        w ^= 1 << (j - lo)
+                yield w, width
+                lo += width
+
+        return mutate
+
+    def stopped_at_deg_h(windows, r, s, N, d):
+        *body, (w, width) = windows
+        yield from body
+        yield w, width - d  # the last window ends at x^(deg h + 1)
+
+    return {
+        # The middle bit of term n = 2^(r-1) - 1, x^(s(n+1)) (1+x)^n.
+        "a_flipped_bit_in_one_term": flipped(
+            lambda r, s, N, d: [(s << r - 1) + ((1 << r - 1) - 1) // 2]
+        ),
+        # Term 2^r - 1, x^(s 2^r) (1+x)^(2^r - 1), a run of 2^r ones, left in h.
+        "the_last_term_kept": flipped(lambda r, s, N, d: range(s << r, (s + 1) << r)),
+        "h_s_top_bit_set": flipped(lambda r, s, N, d: [N - d + 1]),
+        "x_to_the_N_set": flipped(lambda r, s, N, d: [N]),
+        "windows_that_stop_at_deg_h": stopped_at_deg_h,
+    }
+
+
+@pytest.mark.parametrize("mutant", sorted(_stream_mutants()))
+def test_a_faulty_window_stream_is_refused_and_newton_runs(monkeypatch, mutant):
+    mutate = _stream_mutants()[mutant]
+    specs = [FamilySpec(r, v) for r in range(1, 9) for v in (1, 2)]
+    truth = {spec: verify_family(spec) for spec in specs}
+    right = families._h_windows
+
+    def faulty(r, variant):
+        s = (1 << r) - 1 if variant == 1 else 1 << r
+        f = build_family(FamilySpec(r, variant))
+        N = family_prediction(FamilySpec(r, variant)).period
+        return mutate(right(r, variant), r, s, N, f.degree)
+
+    monkeypatch.setattr(families, "_h_windows", faulty)
+    newton = []
+    real = families.cofactor
+    monkeypatch.setattr(families, "cofactor", lambda f, N: newton.append(N) or real(f, N))
+    for spec in specs:
+        v = verify_family(spec)
+        assert v == replace(truth[spec], closed_form_matches=False), spec
     assert len(newton) == len(specs)
 
 
