@@ -129,13 +129,12 @@ def _cmd_family_range(args: argparse.Namespace) -> int:
         raise ValueError("r_max must be >= 1")
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    # Every member is admitted as it is made, in r order, before any runs, and
-    # verified before the first line, so a refused or failing member prints no
-    # partial table and a huge r_max stops at its first refused member.
+    # Every (r, variant) pair is admitted as it is made, in r order, before any
+    # runs, and verified before the first line, so a refused or failing member
+    # prints no partial table and a huge r_max stops at its first refused pair.
     for r in range(1, args.r_max + 1):
         for variant in (1, 2):
-            for reciprocal in (False, True):
-                _admit(FamilySpec(r=r, variant=variant, reciprocal=reciprocal), args.allow_large_r)
+            _admit(FamilySpec(r=r, variant=variant), args.allow_large_r)
     # One task per (r, variant), largest r first so that a pool starts on the
     # costliest; each base verdict also gives its reciprocal member's line.
     bases = [FamilySpec(r=r, variant=v) for r in range(args.r_max, 0, -1) for v in (1, 2)]

@@ -7,22 +7,22 @@ counts (4^r - 3^r + 2^r, 3^r + 1).  Each member has a coefficient-reversed
 sibling with identical statistics.  Robustness is a theorem only for r >= 3;
 smaller r still builds and verifies but is reported as measured.
 
-verify_family proves each member's predicted period N by walking the
-closed-form cofactor h in windows of about 2^18 bits: f h == 1 + x^N shows
-that N is a period and, a cofactor being unique, that h is its cofactor.  No
-4^r-bit h or product is built.  Newton inversion runs only if the walk fails.
+verify_family walks the closed-form cofactor h in windows of about 2^18 bits
+with order_beta's one cofactor check: f h == 1 + x^N proves N a period and h
+its cofactor, and the walk counts h's ones and reads whether N is the least
+period.  No 4^r-bit int is built; Newton's series is walked only if h fails.
 A reciprocal member shares its base member's proof and verdict, since
 rev f rev h = rev(1 + x^N) = 1 + x^N.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .gf2poly import BitCapExceeded, F2Poly, _exponents_int, _mul_int, bit_cap, ensure_bits
-from .order_beta import _exact, _prime_factors, _stats, cofactor
+from .gf2poly import BitCapExceeded, F2Poly, _exponents_int, bit_cap, ensure_bits
+from .order_beta import _newton_walk, _prime_factors, _stats, _walk
 
 __all__ = [
     "EXACT_ORDER_CEILING",
@@ -31,7 +31,6 @@ __all__ = [
     "FamilyVerdict",
     "family_prediction",
     "build_family",
-    "h_closed_form",
     "verify_family",
 ]
 
@@ -101,32 +100,16 @@ def _doubling_product(a: int, b: int, m: int) -> int:
     return acc
 
 
-def h_closed_form(r: int, variant: int) -> F2Poly:
-    """The family cofactor rebuilt from its closed form rather than by division.
-
-    Both variants are an all-ones run xored with the shifted binomial blocks
-    x^(s n) (1+x)^(n-1), n < 2^r, for the stride s.  With u = x^s (1+x) the
-    blocks sum to x^s (sum_{j<2^r} u^j - u^(2^r-1)); the sum is the doubling
-    product prod_{j<r} (1 + x^(s 2^j) + x^((s+1) 2^j)), and (1+x)^(2^r-1) is
-    a run of 2^r ones.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    ensure_bits(4**r + 2**r + 2)
-    two_r = 1 << r
-    s = two_r - 1 if variant == 1 else two_r
-    blocks = (_doubling_product(s, s + 1, r) ^ (((1 << two_r) - 1) << s * (two_r - 1))) << s
-    ones = (1 << (4**r - two_r)) - 1 if variant == 1 else (1 << 4**r) - 1
-    return F2Poly(ones ^ blocks)
-
-
 def _h_windows(r: int, variant: int) -> Iterator[tuple[int, int]]:
-    """h_closed_form(r, variant) as (bits, width) windows from x^0 to x^(N+1):
-    2^r (s+1) ones xored with x^(s(n+1)) (1+x)^n, n < 2^r, each term ending
-    below the next.  The 2^k terms from n0 are x^(s(n0+1)) (1+x)^n0 P, P the
-    doubling product of k factors; (1+x)^n0 is a shift-xor per set bit of n0."""
+    """The family cofactor h from its closed form, as (bits, width) windows
+    from x^0 to x^(N+1), N the predicted period.
+    h is a run of 2^r (s+1) ones xored with the blocks x^(s(n+1)) (1+x)^n,
+    n < 2^r, for the stride s = 2^r - 1 (variant 1) or 2^r (variant 2); each
+    block ends below the next, and the last, 2^r ones, cancels the run's top.
+    With u = x^s (1+x), the 2^k blocks from n0 are x^(s(n0+1)) (1+x)^n0 times
+    sum_{j<2^k} u^j, which is the doubling product prod_{j<k} (1 + u^(2^j)) =
+    prod_{j<k} (1 + x^(s 2^j) + x^((s+1) 2^j)).  (1+x)^n0 is a shift-xor per
+    set bit of n0."""
     two_r = 1 << r
     s = two_r - 1 if variant == 1 else two_r
     k = min(r, max(0, _WINDOW_LOG2 - r))
@@ -141,31 +124,6 @@ def _h_windows(r: int, variant: int) -> Iterator[tuple[int, int]]:
         ones = (1 << min(two_r * (s + 1), hi) - lo) - 1
         yield ones ^ (chunk << s * (n0 + 1) - lo), hi - lo
         lo = hi
-
-
-def _walk(fbits: int, N: int, windows: Iterable[tuple[int, int]]) -> tuple[int, bool] | None:
-    """(ones, exact) of the h the windows make from x^0, if f h == 1 + x^N: each
-    window of f h, with what the windows below spill into it, matches 1 + x^N,
-    and nothing spills past x^N.  Exactness is _exact's test on the deg f bits
-    of h just below each x^(N/p), which carry holds."""
-    d = fbits.bit_length() - 1
-    taps = _exponents_int(fbits ^ 1)
-    marks = [N // p for p in _prime_factors(N) if N // p >= d]
-    lo = carry = spill = ones = 0
-    exact = True
-    for w, width in windows:
-        p = w ^ spill ^ (lo == 0) ^ (1 << (N - lo) if lo <= N < lo + width else 0)
-        for e in taps:
-            p ^= w << e
-        spill = p >> width
-        if w >> width or p != spill << width:
-            return None
-        reads = ((w << d | carry) >> M - lo & (1 << d) - 1 for M in marks if lo <= M < lo + width)
-        exact = exact and all(_mul_int(fbits, v) >> d != 1 for v in reads)
-        carry = carry >> width | w >> max(0, width - d) << max(0, d - width)
-        ones += w.bit_count()
-        lo += width
-    return (ones, exact) if lo == N + 1 and not spill else None
 
 
 def _admit(spec: FamilySpec, allow_large_r: bool) -> None:
@@ -194,13 +152,13 @@ def _reciprocal_verdict(v: FamilyVerdict) -> FamilyVerdict:
 def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVerdict:
     """Check one family member against its predictions.
 
-    The closed-form cofactor h is proved by a walk over its windows that
-    checks f h == 1 + x^N at the predicted period N and counts h's ones.  If
-    the walk fails, Newton inversion computes the cofactor instead, and
-    raises unless N is a period.  The verdict records whether N is the exact
-    order, whether the cofactor counts match the predicted (c, d), whether
-    the closed form held, and the measured robustness.  A reciprocal member
-    takes its base member's verdict, with closed_form_matches None.  r above
+    order_beta's walk over the windows of the closed-form cofactor h checks
+    f h == 1 + x^N at the predicted period N, counts h's ones, and reads
+    whether N is the least period; if h fails, it walks Newton's series
+    instead, and raises unless N is a period.  The verdict records exactness,
+    whether the counts match the predicted (c, d), whether the closed form
+    held, and the measured robustness.  A reciprocal member takes its base
+    member's verdict, with closed_form_matches None.  r above
     EXACT_ORDER_CEILING needs allow_large_r=True.
     """
     _admit(spec, allow_large_r)
@@ -208,15 +166,14 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
         base = verify_family(replace(spec, reciprocal=False), allow_large_r=allow_large_r)
         return _reciprocal_verdict(base)
     pred = family_prediction(spec)
-    f = build_family(spec)
-    walked = _walk(f.bits, pred.period, _h_windows(spec.r, spec.variant))
-    if walked is None:
-        q = cofactor(f, pred.period).bits  # raises unless N is a period
-    count, exact = walked or (q.bit_count(), _exact(f.bits, q, pred.period))
-    ones, zeros, gamma, robust, _, _ = _stats(count, pred.period, f.degree)
+    f, N = build_family(spec), pred.period
+    marks = [N // p for p in _prime_factors(N)]
+    walked = _walk(f.bits, N, _h_windows(spec.r, spec.variant), marks)
+    count, exact = walked or _newton_walk(f.bits, N, marks)  # raises unless N is a period
+    ones, zeros, gamma, robust, _, _ = _stats(count, N, f.degree)
     return FamilyVerdict(
         spec=spec,
-        period=pred.period,
+        period=N,
         order_exact=exact,
         beta=(ones, zeros),
         gamma=gamma,

@@ -10,12 +10,16 @@ its ones and zeros across one period window, gamma is the ones density as an
 exact fraction, and f is robust when the ones outnumber the zeros by more
 than one.  The sieve also gives the count by theorem, with no cofactor built,
 where f is a product of primitive polynomials of pairwise coprime degrees.
+Every other cofactor h, Newton's series or a family's closed form, passes one
+walk over its windows, _walk: it proves f h = 1 + x^N and counts h's ones, and
+for beta_N and the families it reads at each N/p, p a prime of N, whether N
+is the least period.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -238,16 +242,13 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cofactor_int(fbits: int, N: int) -> int | None:
-    """(1 + x^N) / fbits for odd fbits of degree >= 1, or None when fbits does
-    not divide 1 + x^N.  The quotient is the power series 1/fbits mod
-    x^(N - deg + 1), by Newton's step g <- g(2 - fg), which is g <- fg^2 over
-    GF(2), doubling the precision (Sieveking 1972, Kung 1974); one product
-    then proves it, and with it that N is a period.  f's taps, its exponents
-    above 0, are read once: f g is g xored with g shifted by each tap."""
+def _series(fbits: int, N: int) -> int:
+    """The power series 1/fbits mod x^(N - deg + 1), for odd fbits of degree
+    1 .. N: the cofactor (1 + x^N)/fbits when N is a period.  Newton's step
+    g <- g(2 - fg) is g <- fg^2 over GF(2) and doubles the precision
+    (Sieveking 1972, Kung 1974).  f's taps, its exponents above 0, are read
+    once: f g is g xored with g shifted by each tap."""
     L = N - fbits.bit_length() + 2
-    if L < 1:
-        return None
     taps = _exponents_int(fbits ^ 1)
     g = 1
     for j in reversed(range((L - 1).bit_length())):
@@ -257,36 +258,64 @@ def _cofactor_int(fbits: int, N: int) -> int | None:
             g ^= sq << e
         del sq  # the square is freed before the mask and the masked series are built
         g &= (1 << -(-L >> j)) - 1
-    return g if _proves_period(fbits, g, N) else None
+    return g
 
 
-def _proves_period(fbits: int, h: int, N: int) -> bool:
-    """Is fbits h == 1 + x^N?  Read from the product's length and two set
-    bits, so 1 + x^N is never built."""
-    v = _mul_int(fbits, h)
-    return v.bit_length() == N + 1 and v & 1 == 1 and v.bit_count() == 2
+def _cofactor_int(fbits: int, N: int) -> int | None:
+    """(1 + x^N) / fbits for odd fbits of degree >= 1, or None when fbits does
+    not divide 1 + x^N: Newton's series, proved by a walk over one window."""
+    if N < fbits.bit_length() - 1:
+        return None  # f cannot divide 1 + x^N of lower degree
+    g = _series(fbits, N)
+    return g if _walk(fbits, N, ((g, N + 1),)) else None
 
 
-def _exact(fbits: int, q: int, N: int) -> bool:
-    """Is N, a period of fbits with cofactor q = (1 + x^N)/fbits, the least?
-
-    For a prime p | N and M = N/p, split q at x^M: 1 + x^N = f q gives
-    1 = f (q mod x^M) + x^M r_M, so r_M = x^(-M) mod f, and f divides
-    1 + x^M exactly when r_M = 1.  r_M = (f (q mod x^M)) >> M needs only the
-    deg f bits w of q just below x^M: it is (f w) >> deg f.  q is turned to
-    bytes once; each prime then reads deg f bits of it.
-    """
+def _walk(
+    fbits: int, N: int, windows: Iterable[tuple[int, int]], marks: Sequence[int] = ()
+) -> tuple[int, bool] | None:
+    """(ones, exact) of the h that the (bits, width) windows make from x^0, if
+    f h == 1 + x^N, else None: the one check of a cofactor.  Each window of
+    f h, with what the windows below spill into it, must match 1 + x^N, and
+    nothing may spill past x^N.
+    exact says that no mark M (N/p for the primes p | N) is a period: 1 + x^N
+    = f h gives 1 = f (h mod x^M) + x^M r, so r = x^(-M) mod f, and f divides
+    1 + x^M exactly when r = 1.  r = (f (h mod x^M)) >> M needs only the deg f
+    bits v of h just below x^M (0 below x^0): it is (f v) >> deg f.  carry
+    holds the deg f bits of h below the window, so v is read without shifting
+    the window up."""
     d = fbits.bit_length() - 1
-    data = q.to_bytes((q.bit_length() + 7) // 8, "little")
-    for p in _prime_factors(N):
-        M = N // p
-        if M < d:
-            continue  # f cannot divide 1 + x^M of lower degree
-        lo = M - d
-        w = int.from_bytes(data[lo >> 3 : (M + 7) >> 3], "little") >> (lo & 7)
-        if _mul_int(fbits, w & ((1 << d) - 1)) >> d == 1:
-            return False
-    return True
+    taps = _exponents_int(fbits ^ 1)
+    lo = carry = spill = ones = 0
+    exact = True
+    for w, width in windows:
+        p = w ^ (spill ^ (lo == 0))
+        for e in taps:
+            p ^= w << e
+        if lo <= N < lo + width:
+            p ^= 1 << N - lo  # x^N is in this window
+        spill = p >> width
+        if w >> width or p != spill << width:
+            return None
+        if marks:  # a count alone needs neither the reads nor the carry
+            mask = (1 << d) - 1
+            for M in marks:
+                if lo <= M < lo + width:
+                    t = M - lo
+                    v = w >> t - d & mask if t >= d else (w & (1 << t) - 1) << d - t | carry >> t
+                    exact = exact and _mul_int(fbits, v) >> d != 1
+            carry = w >> width - d if width >= d else carry >> width | w << d - width
+        ones += w.bit_count()
+        lo += width
+    return (ones, exact) if lo == N + 1 and not spill else None
+
+
+def _newton_walk(fbits: int, N: int, marks: Sequence[int]) -> tuple[int, bool]:
+    """(ones, exact) of (1 + x^N) / fbits: Newton's series walked once, reading
+    exactness at the marks; ValueError when N is not a period."""
+    walked = N >= fbits.bit_length() - 1 and _walk(fbits, N, ((_series(fbits, N), N + 1),), marks)
+    if not walked:
+        raise ValueError(f"not a period: the polynomial does not divide 1 + x^{N}")
+    return walked
 
 
 def cofactor(f: F2Poly, N: int) -> F2Poly:
@@ -317,34 +346,23 @@ def _stats(ones: int, D: int, d: int) -> tuple[int, int, Fraction, bool, int, bo
     return ones, zeros, Fraction(ones, D), 2 * ones > D + 1, gap, gap * gap <= 1 << d
 
 
-def _beta_from(f: F2Poly, N: int, q: int, order_exact: bool) -> BetaReport:
-    ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), N, f.degree)
-    return BetaReport(
-        poly=f,
-        period=N,
-        order_exact=order_exact,
-        beta=(ones, zeros),
-        gamma=gamma,
-        robust=robust,
-    )
-
-
 def beta(f: F2Poly) -> BetaReport:
     """Ones/zeros of the cofactor over one window at the exact order of f."""
-    D = order(f)
-    return _beta_from(f, D, cofactor(f, D).bits, True)
+    return beta_N(f, order(f))
 
 
 def beta_N(f: F2Poly, N: int) -> BetaReport:
     """Cofactor statistics at an arbitrary period multiple N; the one check
-    of a claimed period.
-
-    The cofactor proves N a period (x^N = 1 mod f), raising "not a period"
-    otherwise; order_exact records whether it is the least one.  Both counts
-    scale linearly in N/order, so gamma is unchanged by the choice of window.
-    The cofactor is taken before the exactness check, so an N over the bit
-    cap fails before N is factored.
-    """
-    _require_order_domain(f)
-    q = cofactor(f, N).bits
-    return _beta_from(f, N, q, _exact(f.bits, q, N))
+    of a claimed period.  One walk over Newton's series proves N a period
+    (x^N = 1 mod f), raising "not a period" otherwise, counts the cofactor's
+    ones, and reads at each N/p, p a prime of N, whether N is the least
+    period (order_exact).  Both counts scale linearly in N/order, so gamma is
+    unchanged by the choice of window.  The bit cap is checked before N is
+    factored for those marks."""
+    bits = _require_order_domain(f)
+    if N < 1:
+        raise ValueError("period must be positive")
+    ensure_bits(N + 1)
+    count, exact = _newton_walk(bits, N, [N // p for p in _prime_factors(N)])
+    ones, zeros, gamma, robust, _, _ = _stats(count, N, f.degree)
+    return BetaReport(f, N, exact, (ones, zeros), gamma, robust)

@@ -132,7 +132,7 @@ def _record(n: int, order_bound: int | None) -> tuple[int | None, int | None]:
 def _counted(n: int, D: int | None, w: int) -> tuple[int | None, int | None]:
     """(D, cofactor one-count) of n at its order D, or (None, None) when D is None.
     A nonzero w is a count by theorem, taken once x^D = 1 mod n proves D a
-    period; else Newton builds the cofactor, whose product check proves it."""
+    period; else Newton builds the cofactor, whose walk proves it."""
     if D is None:
         return None, None
     ensure_bits(D + 1)
@@ -259,7 +259,7 @@ def scan(
         for n, pair in zip(members, pairs):
             if pair is None:
                 # rev f * rev f* = rev(1 + x^D) = 1 + x^D, and f | 1 + x^k iff rev f
-                # does: the product check of the partner's cofactor proves this record too.
+                # does: the walk over the partner's cofactor proves this record too.
                 pair = partners.pop(n)
             elif n < (m := _reciprocal_int(n)) < stop:
                 partners[m] = pair

@@ -4,12 +4,14 @@ the identities of the paper's family proofs, written out for direct checking.
 Nearly every oracle works on plain sets of exponents, plain lists, plain
 int shifts or direct recursion, so none of the bit-packed production code is
 involved.
-Three exceptions build on f2rep.  ref_cofactor keeps the exact long division
+Two exceptions build on f2rep.  ref_cofactor keeps the exact long division
 the cofactor used to be taken with; that division kernel is itself checked
 against ref_divmod.  ref_parity_series_via_cofactor tiles the cofactor of
 parity_profile, a second route to the stream that parity_series computes.
-ref_verify_family keeps the whole-int family proof that the window walk
-replaced: the whole closed form, one product, one popcount and _exact.
+ref_verify_family keeps the whole-int family proof that the cofactor walk
+replaced, on the oracles alone: the whole closed form from ref_h_closed_form,
+a plain shift-xor product, one popcount and ref_exact.  It takes only the
+family's definitions from f2rep.
 
 The identities build on f2rep's F2Poly and bit cap: the doubling product
 behind the family period (g_product), the telescoping (a, b) trinomial
@@ -23,17 +25,11 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from itertools import product
 
 from f2rep import F2Poly, ensure_bits
-from f2rep.families import (
-    FamilyVerdict,
-    _doubling_product,
-    build_family,
-    family_prediction,
-    h_closed_form,
-)
-from f2rep.order_beta import _exact, _proves_period, _stats, cofactor
+from f2rep.families import FamilyVerdict, _doubling_product, build_family, family_prediction
 
 
 def ref_mul(a: set[int], b: set[int]) -> set[int]:
@@ -177,38 +173,44 @@ def ref_parity_series(A, N: int) -> list[int]:
 
 
 def ref_h_closed_form(r: int, variant: int) -> int:
-    """The family closed form, one shifted binomial block at a time."""
+    """The family closed form, one shifted binomial block at a time, written
+    out as binary text from x^0 up."""
     two_r = 1 << r
     stride = two_r - 1 if variant == 1 else two_r
-    s, block = 0, 1  # block = (1 + x)^(n - 1)
+    text, end, block = [], 0, 1  # end = the length of text; block = (1 + x)^(n - 1)
     for n in range(1, two_r):
         shift = stride * n
-        assert s.bit_length() <= shift  # blocks must not overlap
-        s ^= block << shift
+        assert end <= shift  # blocks must not overlap
+        text += ["0" * (shift - end), format(block, "b")[::-1]]
+        end = shift + n
         block ^= block << 1
     ones = (1 << (4**r - two_r)) - 1 if variant == 1 else (1 << 4**r) - 1
-    return ones ^ s
+    return ones ^ int("0" + "".join(text)[::-1], 2)
 
 
 def ref_verify_family(spec):
     """verify_family's verdict on a base member, from the whole closed form h:
-    f h == 1 + x^N by one product, h's popcount, and _exact on h; Newton only
-    when the product fails."""
+    f h == 1 + x^N by a shift-xor per term of f, h's popcount, and ref_exact
+    on h; long division only when the product fails."""
     pred = family_prediction(spec)
-    f = build_family(spec)
-    h = h_closed_form(spec.r, spec.variant).bits
-    proved = _proves_period(f.bits, h, pred.period)
-    q = h if proved else cofactor(f, pred.period).bits
-    ones, zeros, gamma, robust, _, _ = _stats(q.bit_count(), pred.period, f.degree)
+    f, N = build_family(spec).bits, pred.period
+    h = ref_h_closed_form(spec.r, spec.variant)
+    product = 0
+    for e in range(f.bit_length()):
+        if f >> e & 1:
+            product ^= h << e
+    proved = product == (1 << N) | 1
+    q = h if proved else ref_cofactor(f, N)
+    ones = q.bit_count()
     return FamilyVerdict(
         spec=spec,
-        period=pred.period,
-        order_exact=_exact(f.bits, q, pred.period),
-        beta=(ones, zeros),
-        gamma=gamma,
-        matches_prediction=(ones, zeros) == (pred.c, pred.d),
+        period=N,
+        order_exact=ref_exact(q, N),
+        beta=(ones, N - ones),
+        gamma=Fraction(ones, N),
+        matches_prediction=(ones, N - ones) == (pred.c, pred.d),
         closed_form_matches=proved,
-        robust=robust,
+        robust=2 * ones > N + 1,
     )
 
 

@@ -143,11 +143,11 @@ def test_family_range_parallel_matches_serial(capsys):
 
 
 def test_family_range_builds_one_closed_form_per_pair_and_reverses_nothing(capsys, monkeypatch):
-    # One walk over the closed form's windows per (r, variant); the whole-int form is never built.
+    # One walk over the closed form's windows per (r, variant), and no Newton series.
     built = []
     real = families._h_windows
     monkeypatch.setattr(families, "_h_windows", lambda r, v: built.append((r, v)) or real(r, v))
-    monkeypatch.setattr(families, "h_closed_form", lambda r, v: pytest.fail("built whole"))
+    monkeypatch.setattr(families, "_newton_walk", lambda f, N, marks: pytest.fail("Newton ran"))
     for mod in (gf2poly, families, order_beta, search, cli):
         if hasattr(mod, "_reciprocal_int"):
             monkeypatch.setattr(mod, "_reciprocal_int", lambda a: pytest.fail("reversed"))
@@ -350,6 +350,8 @@ def test_gapcheck_lines(capsys):
         (("repr", "--set", "{1,2}", "--n", "4"), "must contain 0"),
         (("repr", "--set", "{0,1,q}", "--n", "4"), "bad digit 'q'"),
         (("beta", "@643", "--period", "64"), "not a period: the polynomial does not divide 1 + x^64"),
+        # 6006 = 2 * 3 * 7 * 11 * 13 is factored for the walk's marks, and 15 does not divide it.
+        (("beta", "x^4+x+1", "--period", "6006"), "not a period: the polynomial does not divide 1 + x^6006"),
     ],
 )
 def test_errors_name_the_problem(capsys, argv, needle):
@@ -360,9 +362,10 @@ def test_errors_name_the_problem(capsys, argv, needle):
     assert needle in err
 
 
-def test_beta_period_over_the_bit_cap_fails_fast(capsys):
+def test_beta_period_over_the_bit_cap_fails_fast(capsys, monkeypatch):
     # A prime period 2^61 - 1 of x + 1: it must be rejected by the bit cap
-    # before anything tries to factor it.
+    # before N is factored for the walk's marks.
+    monkeypatch.setattr(order_beta, "_prime_factors", lambda n: pytest.fail("factored"))
     code, out, err = run(capsys, "beta", "x+1", "--period", "2305843009213693951")
     assert (code, out) == (1, "")
     assert err.startswith("error: operation needs about 2305843009213693952 coefficient bits")

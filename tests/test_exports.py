@@ -14,13 +14,14 @@ PUBLIC = {
     "beta", "beta_N", "bit_cap", "build_family", "cofactor",
     "count_representations", "diatomic_row", "ensure_bits",
     "family_prediction", "figure_data", "gap_census",
-    "h_closed_form", "order", "parity_profile", "parity_series", "parse_poly", "phi",
+    "order", "parity_profile", "parity_series", "parse_poly", "phi",
     "scan", "stern", "verify_family",
     "write_figure_csv", "write_scan_csv", "write_scan_jsonl",
 }
 
 # Second spellings and test-only helpers that left the API: a * b, divmod(a, b),
-# F2Poly(n) and beta(f).robust stay; the family identities live in tests/reference.py.
+# F2Poly(n) and beta(f).robust stay; the family identities live in tests/reference.py,
+# and so does the whole-int family cofactor h_closed_form, as ref_h_closed_form.
 # Names only tests called: p.bits.bit_count() counts terms, the private kernels
 # _reciprocal_int and _modpow_x_int reverse and exponentiate, beta and gap_census
 # give the coordinate gap, and scan --order-bound runs _order_int(bits, bound).
@@ -28,12 +29,12 @@ REMOVED = {
     "mul", "divrem", "from_index", "is_robust", "one_plus_x_pow", "g_product",
     "ab_lemma_check", "glaisher_sum", "odd_binomial_count",
     "ell1", "ell0", "reciprocal", "modpow_x", "coordinate_gap_bound_check", "GapCheck",
-    "OrderBoundExceeded",
+    "OrderBoundExceeded", "h_closed_form",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(f2rep.__all__) == len(PUBLIC) == 39
+    assert len(f2rep.__all__) == len(PUBLIC) == 38
     assert set(f2rep.__all__) == PUBLIC
 
 

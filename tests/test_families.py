@@ -19,14 +19,12 @@ from f2rep import (
     build_family,
     cofactor,
     family_prediction,
-    h_closed_form,
-    order,
     parse_poly,
     verify_family,
 )
 from f2rep import families
 from f2rep.gf2poly import _mul_int, _reciprocal_int
-from f2rep.order_beta import _exact
+from f2rep.order_beta import _prime_factors, _walk
 
 from reference import (
     ab_lemma_check,
@@ -119,26 +117,28 @@ def test_one_plus_x_pow_weight_is_odd_binomial_count(n):
 def test_closed_form_equals_division_cofactor(r, variant):
     f = build_family(FamilySpec(r, variant))
     period = family_prediction(FamilySpec(r, variant)).period
-    assert h_closed_form(r, variant) == cofactor(f, period)
+    assert ref_h_closed_form(r, variant) == cofactor(f, period).bits == ref_cofactor(f.bits, period)
 
 
 @pytest.mark.parametrize("r", range(1, 12))
 @pytest.mark.parametrize("variant", [1, 2])
 def test_closed_form_by_halving_matches_the_block_loop(r, variant):
-    assert h_closed_form(r, variant).bits == ref_h_closed_form(r, variant)
+    # The windows build the blocks by the doubling product; the oracle adds one block at a time.
+    N = family_prediction(FamilySpec(r, variant)).period
+    assert _joined(families._h_windows(r, variant)) == (ref_h_closed_form(r, variant), N + 1)
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_closed_form_term_counts(r):
     pred1 = family_prediction(FamilySpec(r, 1))
-    h1 = h_closed_form(r, 1)
-    assert h1.bits.bit_count() == pred1.c == 4**r - 3**r
-    assert pred1.period - h1.bits.bit_count() == pred1.d == 3**r - 1
+    h1 = ref_h_closed_form(r, 1)
+    assert h1.bit_count() == pred1.c == 4**r - 3**r
+    assert pred1.period - h1.bit_count() == pred1.d == 3**r - 1
 
     pred2 = family_prediction(FamilySpec(r, 2))
-    h2 = h_closed_form(r, 2)
-    assert h2.bits.bit_count() == pred2.c == 4**r - 3**r + 2**r
-    assert pred2.period - h2.bits.bit_count() == pred2.d == 3**r + 1
+    h2 = ref_h_closed_form(r, 2)
+    assert h2.bit_count() == pred2.c == 4**r - 3**r + 2**r
+    assert pred2.period - h2.bit_count() == pred2.d == 3**r + 1
 
 
 @pytest.mark.parametrize(
@@ -240,7 +240,7 @@ def test_verify_family_refuses_a_predicted_period_that_is_not_one(monkeypatch):
 
 
 def test_verify_family_proves_the_closed_form_without_newton(monkeypatch):
-    monkeypatch.setattr(families, "cofactor", lambda f, N: pytest.fail("Newton ran"))
+    monkeypatch.setattr(families, "_newton_walk", lambda f, N, marks: pytest.fail("Newton ran"))
     for r in range(1, EXACT_ORDER_CEILING + 1):
         for variant in (1, 2):
             for recip in (False, True):
@@ -262,8 +262,8 @@ def test_a_wrong_closed_form_falls_back_to_newton(monkeypatch):
 
     monkeypatch.setattr(families, "_h_windows", first_window_flipped)
     newton = []
-    real = families.cofactor
-    monkeypatch.setattr(families, "cofactor", lambda f, N: newton.append(N) or real(f, N))
+    real = families._newton_walk
+    monkeypatch.setattr(families, "_newton_walk", lambda f, N, marks: newton.append(N) or real(f, N, marks))
     for spec in specs:
         v = verify_family(spec)
         assert v.closed_form_matches is (None if spec.reciprocal else False)
@@ -282,13 +282,6 @@ def _joined(windows) -> tuple[int, int]:
     return int(text, 2), len(text)
 
 
-def _windows_of(q: int, N: int, width: int):
-    """q from x^0 to x^(N+1) in windows of one width, the last one shorter."""
-    for lo in range(0, N + 1, width):
-        w = min(width, N + 1 - lo)
-        yield q >> lo & ((1 << w) - 1), w
-
-
 def _window_settings(r):
     """The window constant for one window, 2^(r - r//2) windows, one window
     per term, and the default, each with the number of windows it gives."""
@@ -298,7 +291,7 @@ def _window_settings(r):
 @pytest.mark.parametrize("r", range(1, 13))
 @pytest.mark.parametrize("variant", [1, 2])
 def test_the_windows_concatenate_to_the_closed_form(monkeypatch, r, variant):
-    h = h_closed_form(r, variant).bits
+    h = ref_h_closed_form(r, variant)
     N = family_prediction(FamilySpec(r, variant)).period
     for log2, count in _window_settings(r):
         monkeypatch.setattr(families, "_WINDOW_LOG2", log2)
@@ -316,47 +309,6 @@ def test_the_window_walk_gives_the_whole_int_verdict(monkeypatch, r, variant):
     for log2, _ in _window_settings(r):
         monkeypatch.setattr(families, "_WINDOW_LOG2", log2)
         assert verify_family(spec, allow_large_r=True) == truth, log2
-
-
-def _series_cofactor(fbits: int, M: int) -> int:
-    """(1 + x^M)/f as a power series mod x^(M+1): f times it is 1 + x^M up to
-    x^M, and past it exactly when M is a period."""
-    inv = acc = 0  # acc = f inv
-    for i in range(M + 1):
-        if acc >> i & 1 != (i == 0):
-            inv |= 1 << i
-            acc ^= fbits << i
-    return inv ^ 1 << M
-
-
-def test_the_walk_reads_any_window_stream_of_a_cofactor():
-    # Every f of degree <= 6 at its order D, where it is exact, and at 2D and
-    # 3D, where it is not, in windows narrower and wider than deg f.
-    for fbits in range(3, 1 << 7, 2):
-        d = fbits.bit_length() - 1
-        D = order(F2Poly(fbits))
-        for N in (D, 2 * D, 3 * D):
-            q = ref_cofactor(fbits, N)
-            assert _series_cofactor(fbits, N) == q
-            for width in (1, 3, d, d + 1, 64, N + 1):
-                windows = list(_windows_of(q, N, width))
-                assert families._walk(fbits, N, windows) == (q.bit_count(), _exact(fbits, q, N))
-                for j in (0, N // 2, N - d, N):
-                    assert families._walk(fbits, N, _windows_of(q ^ 1 << j, N, width)) is None
-                # The same h, but a window runs on past x^N, or one holds a
-                # bit past its width that the next one leaves out.
-                assert families._walk(fbits, N, windows + [(0, 1)]) is None
-                i = next((i for i, (w, _) in enumerate(windows[1:]) if w & 1), None)
-                if i is not None:
-                    (w, width_i), (v, width_v) = windows[i : i + 2]
-                    windows[i : i + 2] = [(w | 1 << width_i, width_i), (v ^ 1, width_v)]
-                    assert families._walk(fbits, N, windows) is None
-        # Off a period, f times the series matches 1 + x^M up to x^M and then
-        # spills past it.
-        for M in (D + 1, 2 * D + 1) if D > 1 else ():
-            series = _series_cofactor(fbits, M)
-            for width in (1, d, M + 1):
-                assert families._walk(fbits, M, _windows_of(series, M, width)) is None
 
 
 def _stream_mutants():
@@ -407,8 +359,8 @@ def test_a_faulty_window_stream_is_refused_and_newton_runs(monkeypatch, mutant):
 
     monkeypatch.setattr(families, "_h_windows", faulty)
     newton = []
-    real = families.cofactor
-    monkeypatch.setattr(families, "cofactor", lambda f, N: newton.append(N) or real(f, N))
+    real = families._newton_walk
+    monkeypatch.setattr(families, "_newton_walk", lambda f, N, marks: newton.append(N) or real(f, N, marks))
     for spec in specs:
         v = verify_family(spec)
         assert v == replace(truth[spec], closed_form_matches=False), spec
@@ -420,7 +372,7 @@ def test_a_faulty_window_stream_is_refused_and_newton_runs(monkeypatch, mutant):
 def test_reversed_closed_form_is_the_reciprocal_members_cofactor(r, variant):
     spec = FamilySpec(r, variant, True)
     period = family_prediction(spec).period
-    assert _reciprocal_int(h_closed_form(r, variant).bits) == cofactor(build_family(spec), period).bits
+    assert _reciprocal_int(ref_h_closed_form(r, variant)) == cofactor(build_family(spec), period).bits
 
 
 def test_admission_refuses_a_huge_r_before_predicting(monkeypatch):
@@ -434,10 +386,9 @@ def test_admission_refuses_a_huge_r_before_predicting(monkeypatch):
     "call",
     [
         lambda: g_product(8000, 1),
-        lambda: h_closed_form(8000, 1),
         lambda: ab_lemma_check(1, 2, 20000),
     ],
-    ids=["g_product", "h_closed_form", "ab_lemma_check"],
+    ids=["g_product", "ab_lemma_check"],
 )
 def test_sizes_past_4300_digits_are_refused_by_the_cap(monkeypatch, call):
     # A decimal of the size would pass Python's int-to-str digit limit.
@@ -455,7 +406,7 @@ def _reciprocal_verdict_on_its_own(r: int, variant: int) -> FamilyVerdict:
     spec = FamilySpec(r, variant, True)
     pred = family_prediction(spec)
     N = pred.period
-    h = _reciprocal_int(h_closed_form(r, variant).bits)
+    h = _reciprocal_int(ref_h_closed_form(r, variant))
     assert _mul_int(build_family(spec).bits, h) == (1 << N) | 1
     ones = h.bit_count()
     return FamilyVerdict(
@@ -484,10 +435,15 @@ def test_reciprocal_member_shares_beta():
 @pytest.mark.parametrize("r", range(1, EXACT_ORDER_CEILING + 1))
 @pytest.mark.parametrize("variant", [1, 2])
 def test_family_exactness_matches_the_period_shift_oracle(r, variant):
-    # At N the order, and at 3N, where the cofactor is h (1 + x^N + x^2N).
+    # At N the order, over the family's windows, and at 3N, where the
+    # cofactor is h (1 + x^N + x^2N), over one window.
     f = build_family(FamilySpec(r, variant)).bits
     N = family_prediction(FamilySpec(r, variant)).period
-    h = h_closed_form(r, variant).bits
+    h = ref_h_closed_form(r, variant)
     h3 = h ^ (h << N) ^ (h << 2 * N)
-    assert _exact(f, h, N) == ref_exact(h, N) == verify_family(FamilySpec(r, variant)).order_exact
-    assert _exact(f, h3, 3 * N) == ref_exact(h3, 3 * N) is False
+    walked = _walk(f, N, families._h_windows(r, variant), [N // p for p in _prime_factors(N)])
+    assert walked == (h.bit_count(), ref_exact(h, N))
+    assert ref_exact(h, N) == verify_family(FamilySpec(r, variant)).order_exact
+    marks = [3 * N // p for p in _prime_factors(3 * N)]
+    assert _walk(f, 3 * N, [(h3, 3 * N + 1)], marks) == (3 * h.bit_count(), False)
+    assert ref_exact(h3, 3 * N) is False

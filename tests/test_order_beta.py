@@ -17,14 +17,13 @@ from f2rep.order_beta import (
     _ORDER_SCAN_MAX,
     _cofactor_int,
     _dense_orders,
-    _exact,
     _is_prime,
     _order_factored_int,
     _order_int,
     _order_scan_int,
     _prime_factors,
-    _proves_period,
     _stats,
+    _walk,
 )
 
 from conftest import F31_STAR_EXPONENTS, F32_STAR_EXPONENTS
@@ -299,30 +298,98 @@ def test_newton_cofactor_matches_division_on_every_small_polynomial():
     assert _cofactor_int(3, 0) is None
 
 
+def _windows_of(q: int, N: int, width: int):
+    """q from x^0 to x^(N+1) in windows of one width, the last one shorter."""
+    for lo in range(0, N + 1, width):
+        w = min(width, N + 1 - lo)
+        yield q >> lo & ((1 << w) - 1), w
+
+
+def _marks(N: int) -> list[int]:
+    return [N // p for p in _prime_factors(N)]
+
+
 def test_the_product_check_reads_only_a_true_quotient():
-    # x^4 + x + 1: primitive, order 15.
+    # x^4 + x + 1: primitive, order 15; over one window, and in windows of 3
+    # and of 1 bits, narrower than deg f.
     f = 0b10011
     q = ref_cofactor(f, 15)
-    assert _proves_period(f, q, 15)
-    assert _proves_period(f, ref_cofactor(f, 30), 30)
-    assert not _proves_period(f, q, 16)
-    for bad in (q ^ 1, q ^ 2, q ^ (1 << q.bit_length() - 1), q << 1):
-        assert not _proves_period(f, bad, 15)
-    # f with x dropped, with 1 dropped, and with x^5 added.
-    for wrong in (0b10001, 0b10010, 0b110011):
-        assert not _proves_period(wrong, q, 15)
+    for width in (None, 3, 1):
+        def walk(fbits, h, N):
+            windows = [(h, N + 1)] if width is None else _windows_of(h, N, width)
+            return _walk(fbits, N, windows, _marks(N))
+
+        assert walk(f, q, 15) == (8, True)
+        assert walk(f, ref_cofactor(f, 30), 30) == (16, False)
+        assert walk(f, q, 16) is None
+        for bad in (q ^ 1, q ^ 2, q ^ (1 << q.bit_length() - 1), q << 1):
+            assert walk(f, bad, 15) is None
+        # f with x dropped, with 1 dropped, and with x^5 added.
+        for wrong in (0b10001, 0b10010, 0b110011):
+            assert walk(wrong, q, 15) is None
+    # One window that holds a bit past its width.
+    assert _walk(f, 15, [(q | 1 << 16, 16)]) is None
 
 
 def test_exact_holds_only_at_the_order_on_every_small_polynomial():
     # N = k * order is the least period exactly when k = 1, and _order_int is
-    # itself checked against the stepwise ref_order.  The deg f bits that
-    # _exact reads per prime agree with the period-shift oracle.
+    # itself checked against the stepwise ref_order.  The deg f bits that the
+    # walk reads at each N/p agree with the period-shift oracle, over one
+    # window and in windows of 256 bits, where some reads take bits below the
+    # window from its carry.  Up to degree 9 the quotient is also the division's.
     for f in range(3, 1 << 13, 2):
         D = _kernel_orders()[f]
         for k in (1, 2, 3, 4, 6):
             N = k * D
             q = _cofactor_int(f, N)
-            assert _exact(f, q, N) == ref_exact(q, N) == (k == 1), (f, N)
+            assert f >> 10 or q == ref_cofactor(f, N), (f, N)
+            verdict = (q.bit_count(), k == 1)
+            assert ref_exact(q, N) == (k == 1), (f, N)
+            assert _walk(f, N, [(q, N + 1)], _marks(N)) == verdict, (f, N)
+            assert _walk(f, N, _windows_of(q, N, 256), _marks(N)) == verdict, (f, N)
+
+
+def _series_cofactor(fbits: int, M: int) -> int:
+    """(1 + x^M)/f as a power series mod x^(M+1): f times it is 1 + x^M up to
+    x^M, and past it exactly when M is a period."""
+    inv = acc = 0  # acc = f inv
+    for i in range(M + 1):
+        if acc >> i & 1 != (i == 0):
+            inv |= 1 << i
+            acc ^= fbits << i
+    return inv ^ 1 << M
+
+
+def test_the_walk_reads_any_window_stream_of_a_cofactor():
+    # Every f of degree <= 6 at its order D, where it is exact, and at 2D and
+    # 3D, where it is not, in windows narrower and wider than deg f.  With no
+    # marks the walk only counts, and calls every period exact.
+    for fbits in range(3, 1 << 7, 2):
+        d = fbits.bit_length() - 1
+        D = order(F2Poly(fbits))
+        for N in (D, 2 * D, 3 * D):
+            q = ref_cofactor(fbits, N)
+            assert _series_cofactor(fbits, N) == q
+            for width in (1, 3, d, d + 1, 64, N + 1):
+                windows = list(_windows_of(q, N, width))
+                assert _walk(fbits, N, windows, _marks(N)) == (q.bit_count(), ref_exact(q, N))
+                assert _walk(fbits, N, windows) == (q.bit_count(), True)
+                for j in (0, N // 2, N - d, N):
+                    assert _walk(fbits, N, _windows_of(q ^ 1 << j, N, width), _marks(N)) is None
+                # The same h, but a window runs on past x^N, or one holds a
+                # bit past its width that the next one leaves out.
+                assert _walk(fbits, N, windows + [(0, 1)]) is None
+                i = next((i for i, (w, _) in enumerate(windows[1:]) if w & 1), None)
+                if i is not None:
+                    (w, width_i), (v, width_v) = windows[i : i + 2]
+                    windows[i : i + 2] = [(w | 1 << width_i, width_i), (v ^ 1, width_v)]
+                    assert _walk(fbits, N, windows) is None
+        # Off a period, f times the series matches 1 + x^M up to x^M and then
+        # spills past it.
+        for M in (D + 1, 2 * D + 1) if D > 1 else ():
+            series = _series_cofactor(fbits, M)
+            for width in (1, d, M + 1):
+                assert _walk(fbits, M, _windows_of(series, M, width)) is None
 
 
 # (x^2 + x + 1)^14: degree 28, order 3 * 16.
@@ -336,7 +403,7 @@ _TRINOMIAL_POWER = bits_of(reduce(ref_mul, [{0, 1, 2}] * 14))
 @example(_TRINOMIAL_POWER >> 1, 20)  # at its order 48
 def test_newton_cofactor_is_the_quotient_or_none(high, extra):
     # Degrees 13..28.  At a period N the kernel gives the exact quotient of
-    # 1 + x^N by f; anywhere else its product check refuses the series.
+    # 1 + x^N by f; anywhere else its walk refuses the series.
     f = (high << 1) | 1
     N = f.bit_length() - 1 + extra
     expected = ref_cofactor(f, N) if _modpow_x_int(N, f) == 1 else None
