@@ -43,6 +43,9 @@ done
 # The degree-14 digest at jobs 2, where dense chunks carry table slices to the pool; tier-1 runs jobs 1.
 sum=$(f2rep scan --preset degree14 --jobs 2 | sha256sum)
 test "$sum" = "ce97bec6a36f3231ace469b74a46810e5ade1d8200bba9200ce59d725026e488  -"
+# The quadrinomial JSONL digest at jobs 2, where factored chunks go to the pool; tier-1 runs jobs 1.
+sum=$(f2rep scan --shape quadrinomial --degree-max 20 --json --jobs 2 | sha256sum)
+test "$sum" = "1b7348b1dc0396af9e124f75320fc4f5d2320be23f468e2ed87d5a2d2499db73  -"
 # Past the degree-14 digest: degree 17, the sieve's last, then degree 18, factored.
 sum=$(timeout 120 bash -c 'f2rep scan --degree-max 18 --jobs 2' | sha256sum)
 test "$sum" = "e71d7baee5f1720da539dec22dd556fd92fa526deae965a3d4c5dfa0b4b5dd38  -"

@@ -128,11 +128,16 @@ def _mod_int(a: int, b: int) -> int:
 
 def _modpow_x_int(e: int, m: int) -> int:
     """x^e reduced mod m, by square and multiply over the bits of e."""
-    dm = m.bit_length() - 1
-    top = 1 << dm
+    db = m.bit_length()
+    top = 1 << db - 1
     r = 1
     for i in range(e.bit_length() - 1, -1, -1):
-        r = _mod_int(_square_int(r), m)
+        if r < 0x10000:  # squared by two table reads and reduced in line
+            r = _SPREAD[r >> 8] << 16 | _SPREAD[r & 0xFF]
+            while (k := r.bit_length() - db) >= 0:
+                r ^= m << k
+        else:
+            r = _mod_int(_square_int(r), m)
         if (e >> i) & 1:
             r <<= 1
             if r & top:
@@ -154,6 +159,8 @@ _REV8 = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 def _reciprocal_int(a: int) -> int:
     """The bits of a reversed within its bit length, a byte table at a time."""
     w = a.bit_length()
+    if w <= 16:
+        return (_REV8[a & 0xFF] << 8 | _REV8[a >> 8]) >> (16 - w)
     n = (w + 7) // 8
     return int.from_bytes(a.to_bytes(n, "big").translate(_REV8), "little") >> (8 * n - w)
 

@@ -242,14 +242,13 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _series(fbits: int, N: int) -> int:
+def _series(fbits: int, N: int, taps: list[int]) -> int:
     """The power series 1/fbits mod x^(N - deg + 1), for odd fbits of degree
     1 .. N: the cofactor (1 + x^N)/fbits when N is a period.  Newton's step
     g <- g(2 - fg) is g <- fg^2 over GF(2) and doubles the precision
-    (Sieveking 1972, Kung 1974).  f's taps, its exponents above 0, are read
-    once: f g is g xored with g shifted by each tap."""
+    (Sieveking 1972, Kung 1974).  taps, f's exponents above 0, are read once
+    by the caller, who walks with them too: f g is g xored with g shifted by each tap."""
     L = N - fbits.bit_length() + 2
-    taps = _exponents_int(fbits ^ 1)
     g = 1
     for j in reversed(range((L - 1).bit_length())):
         sq = _square_int(g)
@@ -266,12 +265,13 @@ def _cofactor_int(fbits: int, N: int) -> int | None:
     not divide 1 + x^N: Newton's series, proved by a walk over one window."""
     if N < fbits.bit_length() - 1:
         return None  # f cannot divide 1 + x^N of lower degree
-    g = _series(fbits, N)
-    return g if _walk(fbits, N, ((g, N + 1),)) else None
+    g = _series(fbits, N, taps := _exponents_int(fbits ^ 1))
+    return g if _walk(fbits, N, ((g, N + 1),), (), taps) else None
 
 
 def _walk(
-    fbits: int, N: int, windows: Iterable[tuple[int, int]], marks: Sequence[int] = ()
+    fbits: int, N: int, windows: Iterable[tuple[int, int]], marks: Sequence[int] = (),
+    taps: list[int] | None = None,
 ) -> tuple[int, bool] | None:
     """(ones, exact) of the h that the (bits, width) windows make from x^0, if
     f h == 1 + x^N, else None: the one check of a cofactor.  Each window of
@@ -282,9 +282,9 @@ def _walk(
     1 + x^M exactly when r = 1.  r = (f (h mod x^M)) >> M needs only the deg f
     bits v of h just below x^M (0 below x^0): it is (f v) >> deg f.  carry
     holds the deg f bits of h below the window, so v is read without shifting
-    the window up."""
+    the window up.  taps, f's exponents above 0, are read here unless given."""
     d = fbits.bit_length() - 1
-    taps = _exponents_int(fbits ^ 1)
+    taps = taps or _exponents_int(fbits ^ 1)
     lo = carry = spill = ones = 0
     exact = True
     for w, width in windows:
@@ -312,7 +312,9 @@ def _walk(
 def _newton_walk(fbits: int, N: int, marks: Sequence[int]) -> tuple[int, bool]:
     """(ones, exact) of (1 + x^N) / fbits: Newton's series walked once, reading
     exactness at the marks; ValueError when N is not a period."""
-    walked = N >= fbits.bit_length() - 1 and _walk(fbits, N, ((_series(fbits, N), N + 1),), marks)
+    taps = _exponents_int(fbits ^ 1)
+    g = N >= fbits.bit_length() - 1 and _series(fbits, N, taps)
+    walked = g and _walk(fbits, N, ((g, N + 1),), marks, taps)
     if not walked:
         raise ValueError(f"not a period: the polynomial does not divide 1 + x^{N}")
     return walked

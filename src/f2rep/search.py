@@ -26,7 +26,7 @@ from math import inf
 from typing import NamedTuple, TextIO
 
 from .gf2poly import _modpow_x_int, _reciprocal_int, _text_from_int, bit_cap, ensure_bits
-from .order_beta import _cofactor_int, _dense_orders, _order_int, _stats
+from .order_beta import _dense_orders, _newton_walk, _order_int, _stats
 
 __all__ = [
     "ScanConfig",
@@ -126,32 +126,36 @@ PRESETS: dict[str, ScanConfig] = {
 
 def _record(n: int, order_bound: int | None) -> tuple[int | None, int | None]:
     """(order D, cofactor one-count) of n, or (None, None) when n has no order."""
-    return _counted(n, None if n == 1 else _order_int(n, order_bound), 0)
+    return _counted(n, None if n == 1 else _order_int(n, order_bound), 0, bit_cap())
 
 
-def _counted(n: int, D: int | None, w: int) -> tuple[int | None, int | None]:
+def _counted(n: int, D: int | None, w: int, cap: int) -> tuple[int | None, int | None]:
     """(D, cofactor one-count) of n at its order D, or (None, None) when D is None.
     A nonzero w is a count by theorem, taken once x^D = 1 mod n proves D a
-    period; else Newton builds the cofactor, whose walk proves it."""
+    period; else the walk over Newton's cofactor proves it and counts the ones.
+    cap is the bit cap: only a D that reaches it asks ensure_bits to refuse."""
     if D is None:
         return None, None
-    ensure_bits(D + 1)
+    if D >= cap:
+        ensure_bits(D + 1)
     if w and _modpow_x_int(D, n) == 1:
         return D, w
-    q = _cofactor_int(n, D)
-    if q is None:
-        raise ArithmeticError(f"{D} is not a period of {_text_from_int(n)}")
-    return D, q.bit_count()
+    try:
+        return D, _newton_walk(n, D, ())[0]
+    except ValueError:
+        raise ArithmeticError(f"{D} is not a period of {_text_from_int(n)}") from None
 
 
-def _make_record(n: int, D: int | None, ones: int | None) -> ScanRecord:
-    """The record of n from its order D (None if it has none) and cofactor one-count."""
+def _make_record(n: int, D: int | None, ones: int | None, stats: dict) -> ScanRecord:
+    """The record of n from its order D (None if it has none) and cofactor one-count;
+    stats keeps _stats's tuple per (ones, D, degree), of which a scan repeats many."""
     d = n.bit_length() - 1
     if D is None:  # the eight fields order .. bound_ok stay unset
         status = "degenerate" if n == 1 else "unresolved"
         return ScanRecord(n, _text_from_int(n), d, *[None] * 8, status)
     # _stats gives ell1, ell0, gamma, robust, gap and bound_ok: the fields after order_exact.
-    return ScanRecord._make((n, _text_from_int(n), d, D, True, *_stats(ones, D, d), "ok"))
+    s = stats.get(key := (ones, D, d)) or stats.setdefault(key, _stats(ones, D, d))
+    return ScanRecord._make((n, _text_from_int(n), d, D, True, *s, "ok"))
 
 
 def _corpus(config: ScanConfig) -> Iterator[int]:
@@ -213,10 +217,11 @@ def _scan_chunk(task: tuple) -> tuple[tuple[int, ...], list]:
     the bound and for 1."""
     bound, members, orders, ones = task
     top = inf if bound is None else bound
+    cap = bit_cap()
     return members, [
         None if _reciprocal_int(n) < n
         else _record(n, bound) if orders is None
-        else _counted(n, D, ones[i]) if 0 < (D := orders[i]) <= top
+        else _counted(n, D, ones[i], cap) if 0 < (D := orders[i]) <= top
         else (None, None)
         for i, n in enumerate(members)
     ]
@@ -253,6 +258,7 @@ def scan(
     chunks (on a pool when jobs > 1); the other takes its (order, ones)."""
     stop = config.index_stop
     partners: dict[int, tuple[int | None, int | None]] = {}
+    stats: dict = {}
     for members, pairs in _ordered_map(_scan_chunk, _chunks(config), config.jobs):
         if progress is not None:
             progress(members[0] // 2, stop // 2)
@@ -263,7 +269,7 @@ def scan(
                 pair = partners.pop(n)
             elif n < (m := _reciprocal_int(n)) < stop:
                 partners[m] = pair
-            yield _make_record(n, *pair)
+            yield _make_record(n, *pair, stats)
     if progress is not None:
         progress(stop // 2, stop // 2)
 
@@ -336,13 +342,17 @@ def _csv_cell(v: object) -> str:
 def write_scan_csv(records: Iterable[ScanRecord], out: TextIO) -> None:
     out.write(",".join(SCAN_COLUMNS) + "\n")
     tf = _BOOL_CELL
+    tails: dict[tuple, tuple[Fraction, str]] = {}  # outcome -> (gamma, the text after degree)
     for rec in records:
         if rec.status == "ok":  # every field is set: three bools, gamma, and ints
             n, poly, d, D, exact, ell1, ell0, g, robust, gap, bound_ok, _ = rec
-            out.write(
-                f"{n},{poly},{d},{D},{tf[exact]},{ell1},{ell0},{g.numerator},{g.denominator},"
-                f"{tf[robust]},{gap},{tf[bound_ok]},ok\n"
-            )
+            made = tails.get(key := (D, exact, ell1, ell0, robust, gap, bound_ok))
+            if made is None or made[0] is not g:  # text made from this very gamma object
+                tails[key] = made = g, (
+                    f"{D},{tf[exact]},{ell1},{ell0},{g.numerator},{g.denominator},"
+                    f"{tf[robust]},{gap},{tf[bound_ok]},ok\n"
+                )
+            out.write(f"{n},{poly},{d},{made[1]}")
         else:
             out.write(",".join(map(_csv_cell, _scan_row(rec))) + "\n")
 

@@ -4,10 +4,13 @@ the identities of the paper's family proofs, written out for direct checking.
 Nearly every oracle works on plain sets of exponents, plain lists, plain
 int shifts or direct recursion, so none of the bit-packed production code is
 involved.
-Two exceptions build on f2rep.  ref_cofactor keeps the exact long division
+Three exceptions build on f2rep.  ref_cofactor keeps the exact long division
 the cofactor used to be taken with; that division kernel is itself checked
-against ref_divmod.  ref_parity_series_via_cofactor tiles the cofactor of
-parity_profile, a second route to the stream that parity_series computes.
+against ref_divmod.  ref_modpow_x keeps the square-and-multiply loop that took
+each square with _square_int and reduced it with _mod_int, kernels checked
+against base-4 digits and ref_divmod.  ref_parity_series_via_cofactor tiles the
+cofactor of parity_profile, a second route to the stream that parity_series
+computes.
 ref_verify_family keeps the whole-int family proof that the cofactor walk
 replaced, on the oracles alone: the whole closed form from ref_h_closed_form,
 a plain shift-xor product, one popcount and ref_exact.  It takes only the
@@ -61,6 +64,22 @@ def ref_xpow_mod(e: int, m: set[int]) -> set[int]:
         r = {i + 1 for i in r}
         if dm in r:
             r ^= m
+    return r
+
+
+def ref_modpow_x(e: int, m: int) -> int:
+    """x^e mod m by square and multiply over the bits of e, each square taken
+    by _square_int and reduced by _mod_int."""
+    from f2rep.gf2poly import _mod_int, _square_int
+
+    top = 1 << (m.bit_length() - 1)
+    r = 1
+    for i in range(e.bit_length() - 1, -1, -1):
+        r = _mod_int(_square_int(r), m)
+        if (e >> i) & 1:
+            r <<= 1
+            if r & top:
+                r ^= m
     return r
 
 

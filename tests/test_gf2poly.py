@@ -23,7 +23,15 @@ from f2rep.gf2poly import (
 )
 from f2rep.order_beta import _stats
 
-from reference import bits_of, ref_divmod, ref_mul, ref_reciprocal, ref_text, ref_xpow_mod
+from reference import (
+    bits_of,
+    ref_divmod,
+    ref_modpow_x,
+    ref_mul,
+    ref_reciprocal,
+    ref_text,
+    ref_xpow_mod,
+)
 
 # Nonzero bit patterns; 600 bits is comfortably past any small-case special path.
 nonzero_bits = st.integers(min_value=1, max_value=(1 << 600) - 1)
@@ -337,6 +345,33 @@ def test_modpow_matches_stepwise_oracle(e, m_high):
     assert to_set(F2Poly(got)) == ref_xpow_mod(e, set(F2Poly(m).exponents()))
 
 
+def test_modpow_of_every_odd_modulus_to_degree_8_steps_x_a_power_at_a_time():
+    for m in range(3, 1 << 9, 2):
+        top = 1 << (m.bit_length() - 1)
+        r = 1  # x^e mod m
+        for e in range(600):
+            assert _modpow_x_int(e, m) == r, (e, m)
+            r <<= 1
+            if r & top:
+                r ^= m
+
+
+# Residues below 2^16 are squared by table reads and reduced in line: moduli of
+# degree 9 .. 16 keep every residue there, and those of degree 17 .. 20 leave it.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=1 << 40),
+    st.integers(min_value=9, max_value=20).flatmap(
+        lambda d: st.integers(min_value=1 << d, max_value=(2 << d) - 1)
+    ),
+)
+@example(e=(1 << 40) - 1, m=(1 << 16) | 0b101101)
+@example(e=(1 << 40) - 1, m=(1 << 17) | 0b1001)
+@example(e=12345678901, m=(1 << 20) | (1 << 3) | 1)
+def test_modpow_matches_the_two_call_loop(e, m):
+    assert _modpow_x_int(e, m) == ref_modpow_x(e, m)
+
+
 # ---------------------------------------------------------------- reciprocal
 
 
@@ -368,9 +403,10 @@ def _ref_reciprocal_int(a: int) -> int:
     return bits_of(ref_reciprocal(to_set(F2Poly(a))))
 
 
-def test_reciprocal_int_every_operand_below_2_16():
+# Up to 16 bits the reversal is two byte-table reads; 17 bits take the general path.
+def test_reciprocal_int_every_operand_below_2_17():
     assert _reciprocal_int(0) == 0
-    for a in range(1, 1 << 16):
+    for a in range(1, 1 << 17):
         assert _reciprocal_int(a) == _ref_reciprocal_int(a), a
 
 

@@ -33,6 +33,8 @@ GOLDEN = {
         "be87f0291de99c9bd0b3f6aa0022b4521814aca3f76fe14e6bfd9f0bbbcee1a4",
     ("scan", "--preset", "degree14"):
         "ce97bec6a36f3231ace469b74a46810e5ade1d8200bba9200ce59d725026e488",
+    ("scan", "--shape", "quadrinomial", "--degree-max", "20", "--json"):
+        "1b7348b1dc0396af9e124f75320fc4f5d2320be23f468e2ed87d5a2d2499db73",
     ("beta", "@643", "--period", "126"):
         "2b303f4fd09f9f4d3184462267f82670df64845225a56ea00495f11d946be503",
     ("cofactor", "x^10+x^8+x+1", "--format", "hex"):

@@ -23,8 +23,8 @@ from f2rep import (
     write_scan_csv,
     write_scan_jsonl,
 )
-from f2rep import search
-from f2rep.order_beta import _cofactor_int, _dense_orders, _order_int
+from f2rep import bit_cap, search
+from f2rep.order_beta import _dense_orders, _newton_walk, _order_int
 from f2rep.search import _chunks, _corpus, _counted, _make_record, _order_ceiling, _record
 
 from reference import ref_csv_row
@@ -169,6 +169,8 @@ def test_csv_rows_of_every_status_match_the_cell_by_cell_row():
     records = run(ScanConfig(degree_max=6))
     records += run(ScanConfig(degree_max=8, order_bound=20))  # unresolved past 20
     records += [
+        # A scanned outcome with another gamma: its text must not come from the first.
+        records[1]._replace(gamma=Fraction(1, 3)),
         # Hand-built: a period that is not the order, and ints that equal 0 and 1,
         # which a lookup keyed by True or False would print as false and true.
         ScanRecord(5, "x^2 + 1", 2, 4, False, 2, 2, Fraction(1, 2), False, 0, True, "ok"),
@@ -345,16 +347,16 @@ def _counts_by_theorem(degree_max: int) -> dict[int, tuple[int, int]]:
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_members_counted_by_theorem_never_build_a_cofactor(monkeypatch, jobs):
     config = ScanConfig(degree_max=12, jobs=jobs)
-    expected = [_make_record(n, *_record(n, None)) for n in _old_filter(config)]
+    expected = [_make_record(n, *_record(n, None), {}) for n in _old_filter(config)]
     covered = _counts_by_theorem(12)
     assert len(covered) == 1491
 
-    def cofactor_int(n, N):
+    def newton_walk(n, N, marks):
         if n in covered:
             raise AssertionError(f"{n} has its count by theorem but built a cofactor")
-        return _cofactor_int(n, N)
+        return _newton_walk(n, N, marks)
 
-    monkeypatch.setattr(search, "_cofactor_int", cofactor_int)
+    monkeypatch.setattr(search, "_newton_walk", newton_walk)
     assert run(config) == expected
 
 
@@ -372,13 +374,22 @@ def test_members_counted_by_theorem_past_the_order_bound_are_unresolved():
 
 def test_a_count_by_theorem_needs_its_period_proved(monkeypatch):
     # x^3 + x + 1 has order 7 and 4 ones; x^7 = 1 mod it proves the period 7.
-    assert _counted(11, 7, 4) == (7, 4)
+    cap = bit_cap()
+    assert _counted(11, 7, 4, cap) == (7, 4)
     # At 6, no period: neither the count given nor Newton's cofactor is taken.
     for w in (4, 0):
         with pytest.raises(ArithmeticError, match="6 is not a period of x\\^3 \\+ x \\+ 1"):
-            _counted(11, 6, w)
-    monkeypatch.setattr(search, "_cofactor_int", lambda *a: pytest.fail("built a cofactor"))
-    assert _counted(11, 7, 4) == (7, 4)
+            _counted(11, 6, w, cap)
+    monkeypatch.setattr(search, "_newton_walk", lambda *a: pytest.fail("built a cofactor"))
+    assert _counted(11, 7, 4, cap) == (7, 4)
+
+
+def test_records_keep_their_statistics_per_degree():
+    # One (ones, D) at degrees 1 and 10, where only bound_ok, gap^2 <= 2^d, differs.
+    stats = {}
+    low, high = _make_record(3, 9, 9, stats), _make_record(1025, 9, 9, stats)
+    assert (low.bound_ok, high.bound_ok) == (False, True)
+    assert (low, high) == (_make_record(3, 9, 9, {}), _make_record(1025, 9, 9, {}))
 
 
 @pytest.mark.parametrize("shape", list(_WEIGHT))
@@ -403,7 +414,7 @@ def test_corpus_lists_what_the_weight_filter_kept(shape, extent):
 )
 def test_paired_scan_matches_a_record_per_index(shape, extent, bound, jobs):
     config = ScanConfig(shape=shape, order_bound=bound, jobs=jobs, **extent)
-    assert run(config) == [_make_record(n, *_record(n, bound)) for n in _old_filter(config)]
+    assert run(config) == [_make_record(n, *_record(n, bound), {}) for n in _old_filter(config)]
 
 
 # Chunks of 7 put the partner rev n of a member in a later chunk.
@@ -413,7 +424,7 @@ def test_paired_scan_matches_a_record_per_index(shape, extent, bound, jobs):
 def test_partners_in_later_chunks(monkeypatch, shape, bound, jobs):
     monkeypatch.setattr(search, "_CHUNK", 7)
     config = ScanConfig(degree_max=10, shape=shape, order_bound=bound, jobs=jobs)
-    assert run(config) == [_make_record(n, *_record(n, bound)) for n in _old_filter(config)]
+    assert run(config) == [_make_record(n, *_record(n, bound), {}) for n in _old_filter(config)]
 
 
 @pytest.mark.parametrize("shape", list(_WEIGHT))
@@ -449,3 +460,44 @@ def test_gap_census_over_the_bit_cap_is_refused_before_any_record(monkeypatch):
     monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
     with pytest.raises(BitCapExceeded, match="needs about 1099511627776 coefficient bits"):
         gap_census(40)
+
+
+# A library scan has no ceiling check in front of it: the first member whose
+# order D reaches the cap is refused as ensure_bits(D + 1) words it, and every
+# record before that member comes out.
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "shape,cap,kept,size",
+    [
+        ("all", 100, 64, 128),  # order 127 at degree 7, from the sieve
+        ("all", 255, 128, 256),  # order 255 at degree 8: an order equal to the cap
+        ("trinomial", 20, 6, 22),  # orders found by factoring
+        ("quadrinomial", 100, 35, 128),
+    ],
+)
+def test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(
+    monkeypatch, jobs, shape, cap, kept, size
+):
+    monkeypatch.setenv("F2REP_BIT_CAP", str(cap))
+    records = []
+    with pytest.raises(BitCapExceeded) as exc:
+        for rec in scan(ScanConfig(degree_max=8, shape=shape, jobs=jobs)):
+            records.append(rec)
+    assert str(exc.value) == (
+        f"operation needs about {size} coefficient bits but the cap is {cap}"
+        " (set F2REP_BIT_CAP to raise it)"
+    )
+    assert len(records) == kept
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, jobs):
+    config = ScanConfig(degree_max=8, jobs=jobs)
+    monkeypatch.setenv("F2REP_BIT_CAP", "255")
+    with pytest.raises(BitCapExceeded, match="about 256 coefficient bits but the cap is 255 "):
+        run(config)
+    monkeypatch.setenv("F2REP_BIT_CAP", "256")  # the largest order, 255, needs 256 bits
+    assert len(run(config)) == 256
+    monkeypatch.setenv("F2REP_BIT_CAP", "100")
+    with pytest.raises(BitCapExceeded, match="about 128 coefficient bits but the cap is 100 "):
+        run(config)
