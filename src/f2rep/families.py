@@ -169,7 +169,7 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
     f, N = build_family(spec), pred.period
     marks = [N // p for p in _prime_factors(N)]
     walked = _walk(f.bits, N, _h_windows(spec.r, spec.variant), marks)
-    count, exact = walked or _newton_walk(f.bits, N, marks)  # raises unless N is a period
+    count, exact = walked or _newton_walk(f.bits, N, marks)[:2]  # raises unless N is a period
     ones, zeros, gamma, robust, _, _ = _stats(count, N, f.degree)
     return FamilyVerdict(
         spec=spec,

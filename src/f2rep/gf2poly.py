@@ -49,15 +49,18 @@ def ensure_bits(nbits: int) -> None:
     """Fail fast if a result of about nbits coefficients would exceed the cap."""
     cap = bit_cap()
     if nbits > cap:
-        # Past 64 bits name a power of two: str() refuses ints past 4300 digits.
-        if nbits.bit_length() > 64:
-            size = f"more than 2^{(nbits - 1).bit_length() - 1}"
-        else:
-            size = f"about {nbits}"
-        raise BitCapExceeded(
-            f"operation needs {size} coefficient bits but the cap is {cap}"
-            " (set F2REP_BIT_CAP to raise it)"
-        )
+        raise _over_cap(nbits, cap)
+
+
+def _over_cap(nbits: int, cap: int) -> BitCapExceeded:
+    """The refusal of nbits > cap, for a caller that holds the cap already."""
+    # Past 64 bits name a power of two: str() refuses ints past 4300 digits.
+    big = nbits.bit_length() > 64
+    size = f"more than 2^{(nbits - 1).bit_length() - 1}" if big else f"about {nbits}"
+    return BitCapExceeded(
+        f"operation needs {size} coefficient bits but the cap is {cap}"
+        " (set F2REP_BIT_CAP to raise it)"
+    )
 
 
 def _exponents_int(bits: int) -> list[int]:

@@ -73,19 +73,18 @@ def _order_scan_int(fbits: int, bound: int) -> int | None:
     return None
 
 
-# Below this bound stepping x^k beats factoring f (degree 10: 34 us vs 50 us).
+# Under a bound below this, stepping x^k to the bound beats factoring f.
 _ORDER_SCAN_MAX = 1024
 
 
 def _order_int(fbits: int, bound: int | None) -> int | None:
-    """Least D <= min(bound, 2^deg - 1) with x^D = 1 mod fbits, or None; the
-    one place that chooses between stepping and factoring."""
-    default = (1 << (fbits.bit_length() - 1)) - 1
-    bound = default if bound is None else min(bound, default)
-    if bound < _ORDER_SCAN_MAX:
+    """Least D >= 1 with x^D = 1 mod fbits, of degree >= 1, or None past the
+    bound; the one place that chooses between stepping and factoring.  Only a
+    bound below _ORDER_SCAN_MAX steps: every unbounded order is factored."""
+    if bound is not None and bound < _ORDER_SCAN_MAX:
         return _order_scan_int(fbits, bound)
     D = _order_factored_int(fbits)
-    return D if D <= bound else None
+    return D if bound is None or D <= bound else None
 
 
 def _order_factored_int(fbits: int) -> int:
@@ -260,15 +259,6 @@ def _series(fbits: int, N: int, taps: list[int]) -> int:
     return g
 
 
-def _cofactor_int(fbits: int, N: int) -> int | None:
-    """(1 + x^N) / fbits for odd fbits of degree >= 1, or None when fbits does
-    not divide 1 + x^N: Newton's series, proved by a walk over one window."""
-    if N < fbits.bit_length() - 1:
-        return None  # f cannot divide 1 + x^N of lower degree
-    g = _series(fbits, N, taps := _exponents_int(fbits ^ 1))
-    return g if _walk(fbits, N, ((g, N + 1),), (), taps) else None
-
-
 def _walk(
     fbits: int, N: int, windows: Iterable[tuple[int, int]], marks: Sequence[int] = (),
     taps: list[int] | None = None,
@@ -309,15 +299,16 @@ def _walk(
     return (ones, exact) if lo == N + 1 and not spill else None
 
 
-def _newton_walk(fbits: int, N: int, marks: Sequence[int]) -> tuple[int, bool]:
-    """(ones, exact) of (1 + x^N) / fbits: Newton's series walked once, reading
-    exactness at the marks; ValueError when N is not a period."""
+def _newton_walk(fbits: int, N: int, marks: Sequence[int]) -> tuple[int, bool, int]:
+    """(ones, exact, h) of h = (1 + x^N) / fbits, for odd fbits of degree >= 1:
+    Newton's series walked once, reading exactness at the marks; ValueError
+    when N is not a period.  The one entry to the series."""
     taps = _exponents_int(fbits ^ 1)
     g = N >= fbits.bit_length() - 1 and _series(fbits, N, taps)
     walked = g and _walk(fbits, N, ((g, N + 1),), marks, taps)
     if not walked:
         raise ValueError(f"not a period: the polynomial does not divide 1 + x^{N}")
-    return walked
+    return *walked, g
 
 
 def cofactor(f: F2Poly, N: int) -> F2Poly:
@@ -330,10 +321,7 @@ def cofactor(f: F2Poly, N: int) -> F2Poly:
     ensure_bits(N + 1)
     if bits == 1:
         return F2Poly((1 << N) | 1)
-    q = _cofactor_int(bits, N)
-    if q is None:
-        raise ValueError(f"not a period: the polynomial does not divide 1 + x^{N}")
-    return F2Poly(q)
+    return F2Poly(_newton_walk(bits, N, ())[2])
 
 
 def _stats(ones: int, D: int, d: int) -> tuple[int, int, Fraction, bool, int, bool]:
@@ -365,6 +353,6 @@ def beta_N(f: F2Poly, N: int) -> BetaReport:
     if N < 1:
         raise ValueError("period must be positive")
     ensure_bits(N + 1)
-    count, exact = _newton_walk(bits, N, [N // p for p in _prime_factors(N)])
+    count, exact, _ = _newton_walk(bits, N, [N // p for p in _prime_factors(N)])
     ones, zeros, gamma, robust, _, _ = _stats(count, N, f.degree)
     return BetaReport(f, N, exact, (ones, zeros), gamma, robust)

@@ -25,7 +25,7 @@ from itertools import combinations, groupby, islice
 from math import inf
 from typing import NamedTuple, TextIO
 
-from .gf2poly import _modpow_x_int, _reciprocal_int, _text_from_int, bit_cap, ensure_bits
+from .gf2poly import _modpow_x_int, _over_cap, _reciprocal_int, _text_from_int, bit_cap, ensure_bits
 from .order_beta import _dense_orders, _newton_walk, _order_int, _stats
 
 __all__ = [
@@ -124,20 +124,15 @@ PRESETS: dict[str, ScanConfig] = {
 }
 
 
-def _record(n: int, order_bound: int | None) -> tuple[int | None, int | None]:
-    """(order D, cofactor one-count) of n, or (None, None) when n has no order."""
-    return _counted(n, None if n == 1 else _order_int(n, order_bound), 0, bit_cap())
-
-
 def _counted(n: int, D: int | None, w: int, cap: int) -> tuple[int | None, int | None]:
     """(D, cofactor one-count) of n at its order D, or (None, None) when D is None.
     A nonzero w is a count by theorem, taken once x^D = 1 mod n proves D a
     period; else the walk over Newton's cofactor proves it and counts the ones.
-    cap is the bit cap: only a D that reaches it asks ensure_bits to refuse."""
+    cap is the scan's bit cap: a D that reaches it is refused as ensure_bits words it."""
     if D is None:
         return None, None
     if D >= cap:
-        ensure_bits(D + 1)
+        raise _over_cap(D + 1, cap)
     if w and _modpow_x_int(D, n) == 1:
         return D, w
     try:
@@ -199,7 +194,9 @@ def _chunks(config: ScanConfig) -> Iterator[tuple]:
     the sieve, grown as the corpus reaches each degree, gives a chunk the
     slices of its order and count tables (order 0 for 1, count 0 where no
     theorem gives one), which pickle as bytes.  Other chunks carry None, and
-    their worker factors each member."""
+    their worker factors each member.  Every chunk carries the bit cap, read
+    here once, so that no worker reads the environment."""
+    cap = bit_cap()
     sieve = _dense_orders() if config.shape == "all" else None
     for w, same_degree in groupby(_corpus(config), int.bit_length):
         if w > _DENSE_MAX + 1:
@@ -208,19 +205,18 @@ def _chunks(config: ScanConfig) -> Iterator[tuple]:
         while chunk := tuple(islice(same_degree, _CHUNK)):
             span = slice(chunk[0] >> 1, (chunk[-1] >> 1) + 1)
             tables = (None, None) if sieve is None else (orders[span], ones[span])
-            yield config.order_bound, chunk, *tables
+            yield config.order_bound, cap, chunk, *tables
 
 
 def _scan_chunk(task: tuple) -> tuple[tuple[int, ...], list]:
     """The chunk's members, with (order, ones) for each n <= rev n and None for
     the rest, from the chunk's table slices if it has them, (None, None) past
     the bound and for 1."""
-    bound, members, orders, ones = task
+    bound, cap, members, orders, ones = task
     top = inf if bound is None else bound
-    cap = bit_cap()
     return members, [
         None if _reciprocal_int(n) < n
-        else _record(n, bound) if orders is None
+        else _counted(n, _order_int(n, bound) if n > 1 else None, 0, cap) if orders is None
         else _counted(n, D, ones[i], cap) if 0 < (D := orders[i]) <= top
         else (None, None)
         for i, n in enumerate(members)
@@ -297,18 +293,13 @@ def gap_census(degree_max: int, jobs: int = 1) -> list[GapCensusEntry]:
     cfg = ScanConfig(degree_max=degree_max, jobs=jobs)
     ensure_bits(_order_ceiling(cfg) + 1)  # refused as a scan is, before any record
     maxima: dict[int, int] = {}
-    failed: set[int] = set()
     for rec in scan(cfg):
-        if rec.status != "ok":
-            continue
-        if rec.gap > maxima.get(rec.degree, -1):
+        if rec.status == "ok" and rec.gap > maxima.get(rec.degree, -1):
             maxima[rec.degree] = rec.gap
-        if not rec.bound_ok:
-            failed.add(rec.degree)
     out = []
     for k in range(1, degree_max + 1):
         g = maxima.get(k, 0)
-        out.append(GapCensusEntry(degree=k, max_gap=g, bound=2.0 ** (k / 2), ok=k not in failed))
+        out.append(GapCensusEntry(degree=k, max_gap=g, bound=2.0 ** (k / 2), ok=g * g <= 1 << k))
     return out
 
 

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from f2rep import F2Poly, beta, beta_N, cofactor, order, parse_poly
+from f2rep import F2Poly, beta, beta_N, cofactor, order, order_beta, parse_poly
 
 from f2rep.gf2poly import _modpow_x_int, _mul_int, _reciprocal_int
 from f2rep.order_beta import (
     _ORDER_SCAN_MAX,
-    _cofactor_int,
     _dense_orders,
     _is_prime,
+    _newton_walk,
     _order_factored_int,
     _order_int,
     _order_scan_int,
@@ -76,10 +76,26 @@ def test_order_matches_stepwise_oracle(high):
     assert beta_N(f, D).order_exact
 
 
+@cache
+def _stepped_orders() -> dict[int, int]:
+    """The order of every odd n of degree 1 .. 12 by stepping x^k up to 2^deg - 1."""
+    return {n: _order_scan_int(n, (1 << n.bit_length() - 1) - 1) for n in range(3, 1 << 13, 2)}
+
+
 def test_factored_order_matches_the_scan_up_to_degree_12():
-    for n in range(3, 1 << 13, 2):
-        d = n.bit_length() - 1
-        assert _order_factored_int(n) == _order_scan_int(n, (1 << d) - 1), n
+    for n, D in _stepped_orders().items():
+        assert _order_factored_int(n) == D, n
+
+
+def test_only_a_bound_below_the_step_limit_steps(monkeypatch):
+    # With stepping made to fail, an unbounded order, and one under any bound
+    # from _ORDER_SCAN_MAX up, is factored, and matches the stepping oracle.
+    expected = _stepped_orders()
+    monkeypatch.setattr(order_beta, "_order_scan_int", lambda *a: pytest.fail("stepped"))
+    for n, D in expected.items():
+        assert _order_int(n, None) == D, n
+        for bound in (_ORDER_SCAN_MAX, 3 * _ORDER_SCAN_MAX // 2, 1 << 40):
+            assert _order_int(n, bound) == (D if D <= bound else None), (n, bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,7 +275,8 @@ def test_dense_counts_match_newton_on_every_covered_polynomial_below_2_15():
     assert ones[15 >> 1] == 0  # (1 + x)^3
     for f in sorted(covered):
         D = _kernel_orders()[f]
-        assert ones[f >> 1] == _cofactor_int(f, D).bit_count(), f
+        count, _, h = _newton_walk(f, D, ())
+        assert ones[f >> 1] == count == h.bit_count(), f
 
 
 @cache
@@ -281,7 +298,8 @@ def test_dense_counts_match_newton_on_degrees_15_and_16(i):
     D = orders[i]
     assert D == _order_int(f, None)
     if ones[i]:
-        assert ones[i] == _cofactor_int(f, D).bit_count(), f
+        count, _, h = _newton_walk(f, D, ())
+        assert ones[i] == count == h.bit_count(), f
 
 
 def test_newton_cofactor_matches_division_on_every_small_polynomial():
@@ -290,12 +308,14 @@ def test_newton_cofactor_matches_division_on_every_small_polynomial():
     for f in range(3, 1 << 13, 2):
         D = _kernel_orders()[f]
         for N in (D, 2 * D):
-            assert _cofactor_int(f, N) == ref_cofactor(f, N), (f, N)
+            assert _newton_walk(f, N, ())[2] == ref_cofactor(f, N), (f, N)
         if D > 1:  # x + 1 alone has order 1, which divides every N
             # Next to the order, and below the degree: no period, no cofactor.
             for N in (D - 1, D + 1, f.bit_length() - 2):
-                assert _cofactor_int(f, N) is None, (f, N)
-    assert _cofactor_int(3, 0) is None
+                with pytest.raises(ValueError, match="not a period"):
+                    _newton_walk(f, N, ())
+    with pytest.raises(ValueError, match="not a period"):
+        _newton_walk(3, 0, ())
 
 
 def _windows_of(q: int, N: int, width: int):
@@ -341,7 +361,7 @@ def test_exact_holds_only_at_the_order_on_every_small_polynomial():
         D = _kernel_orders()[f]
         for k in (1, 2, 3, 4, 6):
             N = k * D
-            q = _cofactor_int(f, N)
+            q = _newton_walk(f, N, ())[2]
             assert f >> 10 or q == ref_cofactor(f, N), (f, N)
             verdict = (q.bit_count(), k == 1)
             assert ref_exact(q, N) == (k == 1), (f, N)
@@ -406,8 +426,11 @@ def test_newton_cofactor_is_the_quotient_or_none(high, extra):
     # 1 + x^N by f; anywhere else its walk refuses the series.
     f = (high << 1) | 1
     N = f.bit_length() - 1 + extra
-    expected = ref_cofactor(f, N) if _modpow_x_int(N, f) == 1 else None
-    assert _cofactor_int(f, N) == expected
+    if _modpow_x_int(N, f) == 1:
+        assert _newton_walk(f, N, ())[2] == ref_cofactor(f, N)
+    else:
+        with pytest.raises(ValueError, match="not a period"):
+            _newton_walk(f, N, ())
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,7 +447,7 @@ def test_reciprocal_has_the_same_order_and_the_reversed_cofactor(g_high, h_high)
     assume(D is not None)
     rev = _reciprocal_int(f)
     assert _order_int(rev, 1 << 22) == D
-    assert _cofactor_int(rev, D) == _reciprocal_int(_cofactor_int(f, D))
+    assert _newton_walk(rev, D, ())[2] == _reciprocal_int(_newton_walk(f, D, ())[2])
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import time
 from array import array
 from fractions import Fraction
@@ -25,7 +26,7 @@ from f2rep import (
 )
 from f2rep import bit_cap, search
 from f2rep.order_beta import _dense_orders, _newton_walk, _order_int
-from f2rep.search import _chunks, _corpus, _counted, _make_record, _order_ceiling, _record
+from f2rep.search import _chunks, _corpus, _counted, _make_record, _order_ceiling
 
 from reference import ref_csv_row
 
@@ -40,6 +41,11 @@ def _old_filter(config: ScanConfig) -> list[int]:
 
 def run(config: ScanConfig) -> list:
     return list(scan(config))
+
+
+def _record(n: int, bound: int | None) -> tuple[int | None, int | None]:
+    """(order, ones) of n found on its own: factored or stepped, then walked."""
+    return _counted(n, None if n == 1 else _order_int(n, bound), 0, bit_cap())
 
 
 def test_config_validation():
@@ -210,13 +216,13 @@ def test_dense_chunks_carry_table_slices():
     for _ in range(11):
         orders, ones = next(sieve)
     for task in _chunks(ScanConfig(degree_max=10, order_bound=83)):
-        bound, members, chunk_orders, chunk_ones = task
-        assert bound == 83
+        bound, cap, members, chunk_orders, chunk_ones = task
+        assert (bound, cap) == (83, bit_cap())
         assert type(chunk_orders) is type(chunk_ones) is array
         assert list(chunk_orders) == [orders[n >> 1] for n in members]
         assert list(chunk_ones) == [ones[n >> 1] for n in members]
     for task in _chunks(ScanConfig(degree_max=10, shape="trinomial")):
-        assert task[2:] == (None, None)
+        assert task[3:] == (None, None)
 
 
 def test_jsonl_round_trips():
@@ -465,16 +471,16 @@ def test_gap_census_over_the_bit_cap_is_refused_before_any_record(monkeypatch):
 # A library scan has no ceiling check in front of it: the first member whose
 # order D reaches the cap is refused as ensure_bits(D + 1) words it, and every
 # record before that member comes out.
+_REFUSALS = [
+    ("all", 100, 64, 128),  # order 127 at degree 7, from the sieve
+    ("all", 255, 128, 256),  # order 255 at degree 8: an order equal to the cap
+    ("trinomial", 20, 6, 22),  # orders found by factoring
+    ("quadrinomial", 100, 35, 128),
+]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize(
-    "shape,cap,kept,size",
-    [
-        ("all", 100, 64, 128),  # order 127 at degree 7, from the sieve
-        ("all", 255, 128, 256),  # order 255 at degree 8: an order equal to the cap
-        ("trinomial", 20, 6, 22),  # orders found by factoring
-        ("quadrinomial", 100, 35, 128),
-    ],
-)
+@pytest.mark.parametrize("shape,cap,kept,size", _REFUSALS)
 def test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(
     monkeypatch, jobs, shape, cap, kept, size
 ):
@@ -501,3 +507,24 @@ def test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, jobs):
     monkeypatch.setenv("F2REP_BIT_CAP", "100")
     with pytest.raises(BitCapExceeded, match="about 128 coefficient bits but the cap is 100 "):
         run(config)
+
+
+# A forkserver worker forks from a server that keeps the environment it started
+# with, and a spawn worker starts from the environment of its start: the cap
+# must reach the workers in their tasks.  The pool comes from the method's
+# context for these tests only; the process-wide default is left alone.
+def _pool_from(monkeypatch, method: str) -> None:
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_a_library_scan_refuses_at_the_cap_under_each_start_method(monkeypatch, method):
+    _pool_from(monkeypatch, method)
+    for refusal in _REFUSALS:
+        test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(monkeypatch, 2, *refusal)
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_a_cap_changed_between_two_scans_takes_effect_under_each_start_method(monkeypatch, method):
+    _pool_from(monkeypatch, method)
+    test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, 2)
