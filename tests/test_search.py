@@ -5,7 +5,10 @@ from __future__ import annotations
 import io
 import json
 import multiprocessing
+import signal
+import sys
 import time
+import types
 from array import array
 from fractions import Fraction
 
@@ -513,18 +516,28 @@ def test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, jobs):
 # with, and a spawn worker starts from the environment of its start: the cap
 # must reach the workers in their tasks.  The pool comes from the method's
 # context for these tests only; the process-wide default is left alone.
-def _pool_from(monkeypatch, method: str) -> None:
-    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+@pytest.fixture(params=["forkserver", "spawn"])
+def start_method(monkeypatch, request):
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(request.param).Pool)
+    # The server and the workers import no __main__: the script that runs the
+    # tests need not be safe to import, and one that reruns them never ends.
+    monkeypatch.setitem(sys.modules, "__main__", types.ModuleType("__main__"))
+
+    # A pool whose workers die waits on their results for ever: end the test instead.
+    def expire(signum, frame):
+        raise TimeoutError(f"no result from the {request.param} pool in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("method", ["forkserver", "spawn"])
-def test_a_library_scan_refuses_at_the_cap_under_each_start_method(monkeypatch, method):
-    _pool_from(monkeypatch, method)
+def test_a_library_scan_refuses_at_the_cap_under_each_start_method(monkeypatch, start_method):
     for refusal in _REFUSALS:
         test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(monkeypatch, 2, *refusal)
 
 
-@pytest.mark.parametrize("method", ["forkserver", "spawn"])
-def test_a_cap_changed_between_two_scans_takes_effect_under_each_start_method(monkeypatch, method):
-    _pool_from(monkeypatch, method)
+def test_a_cap_changed_between_two_scans_takes_effect_under_each_start_method(monkeypatch, start_method):
     test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, 2)
