@@ -46,6 +46,14 @@ test "$sum" = "ce97bec6a36f3231ace469b74a46810e5ade1d8200bba9200ce59d725026e488 
 # The quadrinomial JSONL digest at jobs 2, where factored chunks go to the pool; tier-1 runs jobs 1.
 sum=$(f2rep scan --shape quadrinomial --degree-max 20 --json --jobs 2 | sha256sum)
 test "$sum" = "1b7348b1dc0396af9e124f75320fc4f5d2320be23f468e2ed87d5a2d2499db73  -"
+# The degree-24 quadrinomials at jobs 2: 2,024 members, every computed count walked over the series 1/f.
+sum=$(timeout 60 bash -c 'f2rep scan --shape quadrinomial --degree-max 24 --json --jobs 2' | sha256sum)
+test "$sum" = "58a376db080b8f06b0e5493a5a71a5d3c5fde7a9937dc0558b95e363cdc53400  -"
+# A 2^27-term cofactor from the series 1/f, and its walk, under a bound on address space.
+# They needed about 95,000-101,000 KB under CPython 3.10.13-3.13.13 on x86-64 Linux (Newton's
+# loop about 99,000-105,000 KB); the limit is about 50% over, for other builds and allocators.
+line=$(ulimit -v 150000; f2rep beta "x^4+x+1" --period 125829120)
+test "$line" = "order=125829120 exact=false beta=(67108864,58720256) gamma=8/15 robust=true"
 # Past the degree-14 digest: degree 17, the sieve's last, then degree 18, factored.
 sum=$(timeout 120 bash -c 'f2rep scan --degree-max 18 --jobs 2' | sha256sum)
 test "$sum" = "e71d7baee5f1720da539dec22dd556fd92fa526deae965a3d4c5dfa0b4b5dd38  -"

@@ -11,7 +11,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
 from itertools import islice
 
 from .families import (
@@ -19,6 +18,7 @@ from .families import (
     FamilyVerdict,
     _admit,
     _reciprocal_verdict,
+    _verify_admitted,
     verify_family,
 )
 from .gf2poly import BitCapExceeded, F2Poly, ensure_bits, parse_poly
@@ -137,9 +137,9 @@ def _cmd_family_range(args: argparse.Namespace) -> int:
             _admit(FamilySpec(r=r, variant=variant), args.allow_large_r)
     # One task per (r, variant), largest r first so that a pool starts on the
     # costliest; each base verdict also gives its reciprocal member's line.
+    # The pairs are admitted already, so no worker reads the environment.
     bases = [FamilySpec(r=r, variant=v) for r in range(args.r_max, 0, -1) for v in (1, 2)]
-    verify = partial(verify_family, allow_large_r=args.allow_large_r)
-    verdicts = sorted(_ordered_map(verify, bases, args.jobs), key=lambda v: v.spec.r)
+    verdicts = sorted(_ordered_map(_verify_admitted, bases, args.jobs), key=lambda v: v.spec.r)
     for v in verdicts:
         print(_family_line(v))
         print(_family_line(_reciprocal_verdict(v)))

@@ -10,7 +10,7 @@ smaller r still builds and verifies but is reported as measured.
 verify_family walks the closed-form cofactor h in windows of about 2^18 bits
 with order_beta's one cofactor check: f h == 1 + x^N proves N a period and h
 its cofactor, and the walk counts h's ones and reads whether N is the least
-period.  No 4^r-bit int is built; Newton's series is walked only if h fails.
+period.  No 4^r-bit int is built; the series 1/f is walked only if h fails.
 A reciprocal member shares its base member's proof and verdict, since
 rev f rev h = rev(1 + x^N) = 1 + x^N.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .gf2poly import BitCapExceeded, F2Poly, _exponents_int, bit_cap, ensure_bits
-from .order_beta import _newton_walk, _prime_factors, _stats, _walk
+from .order_beta import _prime_factors, _series_walk, _stats, _walk
 
 __all__ = [
     "EXACT_ORDER_CEILING",
@@ -154,7 +154,7 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
 
     order_beta's walk over the windows of the closed-form cofactor h checks
     f h == 1 + x^N at the predicted period N, counts h's ones, and reads
-    whether N is the least period; if h fails, it walks Newton's series
+    whether N is the least period; if h fails, it walks the series 1/f
     instead, and raises unless N is a period.  The verdict records exactness,
     whether the counts match the predicted (c, d), whether the closed form
     held, and the measured robustness.  A reciprocal member takes its base
@@ -162,14 +162,19 @@ def verify_family(spec: FamilySpec, *, allow_large_r: bool = False) -> FamilyVer
     EXACT_ORDER_CEILING needs allow_large_r=True.
     """
     _admit(spec, allow_large_r)
+    return _verify_admitted(spec)
+
+
+def _verify_admitted(spec: FamilySpec) -> FamilyVerdict:
+    """verify_family past _admit, the one read of the bit cap: a pool worker
+    reads no environment, so it gives the verdict the parent's cap admitted."""
     if spec.reciprocal:
-        base = verify_family(replace(spec, reciprocal=False), allow_large_r=allow_large_r)
-        return _reciprocal_verdict(base)
+        return _reciprocal_verdict(_verify_admitted(replace(spec, reciprocal=False)))
     pred = family_prediction(spec)
     f, N = build_family(spec), pred.period
     marks = [N // p for p in _prime_factors(N)]
     walked = _walk(f.bits, N, _h_windows(spec.r, spec.variant), marks)
-    count, exact = walked or _newton_walk(f.bits, N, marks)[:2]  # raises unless N is a period
+    count, exact = walked or _series_walk(f.bits, N, marks)[:2]  # raises unless N is a period
     ones, zeros, gamma, robust, _, _ = _stats(count, N, f.degree)
     return FamilyVerdict(
         spec=spec,

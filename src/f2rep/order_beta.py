@@ -10,7 +10,7 @@ its ones and zeros across one period window, gamma is the ones density as an
 exact fraction, and f is robust when the ones outnumber the zeros by more
 than one.  The sieve also gives the count by theorem, with no cofactor built,
 where f is a product of primitive polynomials of pairwise coprime degrees.
-Every other cofactor h, Newton's series or a family's closed form, passes one
+Every other cofactor h, the series 1/f or a family's closed form, passes one
 walk over its windows, _walk: it proves f h = 1 + x^N and counts h's ones, and
 for beta_N and the families it reads at each N/p, p a prime of N, whether N
 is the least period.
@@ -242,20 +242,22 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 def _series(fbits: int, N: int, taps: list[int]) -> int:
-    """The power series 1/fbits mod x^(N - deg + 1), for odd fbits of degree
-    1 .. N: the cofactor (1 + x^N)/fbits when N is a period.  Newton's step
-    g <- g(2 - fg) is g <- fg^2 over GF(2) and doubles the precision
-    (Sieveking 1972, Kung 1974).  taps, f's exponents above 0, are read once
-    by the caller, who walks with them too: f g is g xored with g shifted by each tap."""
+    """1/fbits mod x^L, L = N - deg + 1, for odd fbits of degree 1 .. N: the
+    cofactor (1 + x^N)/fbits when N is a period.  Over GF(2) f(x)^2 = f(x^2), so
+    f(x) f(x^2) ... f(x^(2^(k-1))) = f(x^(2^k)) = 1 mod x^(2^k taps[0]): a product
+    of factors with f's number of terms, nothing squared and each shifted g cut
+    below x^L.  It is Graeffe's step 1/f(x) = f(-x)/g(x^2) in characteristic 2
+    (Schonhage, "Variations on computing reciprocals of power series", IPL 74,
+    2000).  taps, f's exponents above 0 ascending, come from the caller."""
     L = N - fbits.bit_length() + 2
     g = 1
-    for j in reversed(range((L - 1).bit_length())):
-        sq = _square_int(g)
-        g = sq
+    for i in range(((L - 1) // taps[0]).bit_length()):  # while taps[0] 2^i < L
+        p = g
         for e in taps:
-            g ^= sq << e
-        del sq  # the square is freed before the mask and the masked series are built
-        g &= (1 << -(-L >> j)) - 1
+            if (k := e << i) >= L:
+                break
+            p ^= g << k if g.bit_length() <= L - k else (g & (1 << L - k) - 1) << k
+        g = p
     return g
 
 
@@ -299,9 +301,9 @@ def _walk(
     return (ones, exact) if lo == N + 1 and not spill else None
 
 
-def _newton_walk(fbits: int, N: int, marks: Sequence[int]) -> tuple[int, bool, int]:
+def _series_walk(fbits: int, N: int, marks: Sequence[int]) -> tuple[int, bool, int]:
     """(ones, exact, h) of h = (1 + x^N) / fbits, for odd fbits of degree >= 1:
-    Newton's series walked once, reading exactness at the marks; ValueError
+    the series 1/fbits walked once, reading exactness at the marks; ValueError
     when N is not a period.  The one entry to the series."""
     taps = _exponents_int(fbits ^ 1)
     g = N >= fbits.bit_length() - 1 and _series(fbits, N, taps)
@@ -312,7 +314,7 @@ def _newton_walk(fbits: int, N: int, marks: Sequence[int]) -> tuple[int, bool, i
 
 
 def cofactor(f: F2Poly, N: int) -> F2Poly:
-    """(1 + x^N) / f by Newton inversion; raises when N is not a period of f."""
+    """(1 + x^N) / f from the series 1/f; raises when N is not a period of f."""
     bits = f.bits
     if not bits & 1:
         raise ValueError("cofactor requires constant term 1")
@@ -321,7 +323,7 @@ def cofactor(f: F2Poly, N: int) -> F2Poly:
     ensure_bits(N + 1)
     if bits == 1:
         return F2Poly((1 << N) | 1)
-    return F2Poly(_newton_walk(bits, N, ())[2])
+    return F2Poly(_series_walk(bits, N, ())[2])
 
 
 def _stats(ones: int, D: int, d: int) -> tuple[int, int, Fraction, bool, int, bool]:
@@ -343,7 +345,7 @@ def beta(f: F2Poly) -> BetaReport:
 
 def beta_N(f: F2Poly, N: int) -> BetaReport:
     """Cofactor statistics at an arbitrary period multiple N; the one check
-    of a claimed period.  One walk over Newton's series proves N a period
+    of a claimed period.  One walk over the series 1/f proves N a period
     (x^N = 1 mod f), raising "not a period" otherwise, counts the cofactor's
     ones, and reads at each N/p, p a prime of N, whether N is the least
     period (order_exact).  Both counts scale linearly in N/order, so gamma is
@@ -353,6 +355,6 @@ def beta_N(f: F2Poly, N: int) -> BetaReport:
     if N < 1:
         raise ValueError("period must be positive")
     ensure_bits(N + 1)
-    count, exact, _ = _newton_walk(bits, N, [N // p for p in _prime_factors(N)])
+    count, exact, _ = _series_walk(bits, N, [N // p for p in _prime_factors(N)])
     ones, zeros, gamma, robust, _, _ = _stats(count, N, f.degree)
     return BetaReport(f, N, exact, (ones, zeros), gamma, robust)

@@ -26,7 +26,7 @@ from math import inf
 from typing import NamedTuple, TextIO
 
 from .gf2poly import _modpow_x_int, _over_cap, _reciprocal_int, _text_from_int, bit_cap, ensure_bits
-from .order_beta import _dense_orders, _newton_walk, _order_int, _stats
+from .order_beta import _dense_orders, _order_int, _series_walk, _stats
 
 __all__ = [
     "ScanConfig",
@@ -46,8 +46,8 @@ __all__ = [
 
 _SHAPES = ("all", "trinomial", "quadrinomial")
 _CHUNK = 2048
-# The top degree whose orders come from the sieve: its tables, 15 bytes per
-# odd polynomial, reach 2.0 MB at degree 17 and take 0.6 s to build.
+# The top degree whose orders come from the sieve: its tables, 15 bytes per odd
+# polynomial, reach 2.0 MB at degree 17 and take 0.36 s to build (Python 3.11.7).
 _DENSE_MAX = 17
 
 
@@ -127,7 +127,7 @@ PRESETS: dict[str, ScanConfig] = {
 def _counted(n: int, D: int | None, w: int, cap: int) -> tuple[int | None, int | None]:
     """(D, cofactor one-count) of n at its order D, or (None, None) when D is None.
     A nonzero w is a count by theorem, taken once x^D = 1 mod n proves D a
-    period; else the walk over Newton's cofactor proves it and counts the ones.
+    period; else the walk over the series 1/n proves it and counts the ones.
     cap is the scan's bit cap: a D that reaches it is refused as ensure_bits words it."""
     if D is None:
         return None, None
@@ -136,7 +136,7 @@ def _counted(n: int, D: int | None, w: int, cap: int) -> tuple[int | None, int |
     if w and _modpow_x_int(D, n) == 1:
         return D, w
     try:
-        return D, _newton_walk(n, D, ())[0]
+        return D, _series_walk(n, D, ())[0]
     except ValueError:
         raise ArithmeticError(f"{D} is not a period of {_text_from_int(n)}") from None
 

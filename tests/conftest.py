@@ -1,6 +1,13 @@
-"""Shared fixtures: the worked example polynomials and their frozen data."""
+"""Shared fixtures: the worked example polynomials and their frozen data,
+and pools under the forkserver and spawn start methods."""
 
 from __future__ import annotations
+
+import multiprocessing
+import multiprocessing.forkserver
+import signal
+import sys
+import types
 
 import pytest
 
@@ -29,3 +36,31 @@ def f31():
 @pytest.fixture(scope="session")
 def f32():
     return parse_poly("x^10 + x^8 + x + 1")
+
+
+# A forkserver worker forks from a server that keeps the environment it started
+# with, and a spawn worker starts from the environment of its start: what a
+# worker needs of the parent's environment must reach it in its task.  The pool
+# comes from the method's context for these tests only; the process-wide
+# default is left alone.
+@pytest.fixture(params=["forkserver", "spawn"])
+def start_method(monkeypatch, request):
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(request.param).Pool)
+    # The server and the workers import no __main__: the script that runs the
+    # tests need not be safe to import, and one that reruns them never ends.
+    monkeypatch.setitem(sys.modules, "__main__", types.ModuleType("__main__"))
+    # Each test starts its own server, in the environment the test sets first,
+    # whatever tests ran before it; none is left running after it.
+    server = multiprocessing.forkserver._forkserver
+    server._stop()
+
+    # A pool whose workers die waits on their results for ever: end the test instead.
+    def expire(signum, frame):
+        raise TimeoutError(f"no result from the {request.param} pool in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    server._stop()

@@ -3,7 +3,8 @@ the identities of the paper's family proofs, written out for direct checking.
 
 Nearly every oracle works on plain sets of exponents, plain lists, plain
 int shifts or direct recursion, so none of the bit-packed production code is
-involved.
+involved.  ref_newton_series keeps the Newton iteration that the series took
+before the product of sparse factors replaced it, on plain ints alone.
 Three exceptions build on f2rep.  ref_cofactor keeps the exact long division
 the cofactor used to be taken with; that division kernel is itself checked
 against ref_divmod.  ref_modpow_x keeps the square-and-multiply loop that took
@@ -117,6 +118,28 @@ def ref_cofactor(fbits: int, N: int) -> int:
     q, r = _divrem_int((1 << N) | 1, fbits)
     assert r == 0, "not a period"
     return q
+
+
+# Each byte with a 0 bit put between its bits: its square over GF(2), as 2 bytes.
+_SPREAD = [int("0".join(format(b, "b")), 2).to_bytes(2, "little") for b in range(256)]
+
+
+def ref_newton_series(fbits: int, N: int) -> int:
+    """1/f mod x^(N - deg f + 1) by Newton's iteration, for odd f of degree
+    1 .. N.  The step g <- g(2 - f g) is g <- f g^2 over GF(2) and doubles
+    the precision (Sieveking 1972, Kung 1974); g^2 spreads g's bits apart a
+    byte at a time, and f g^2 is a shift-xor per term of f."""
+    L = N - fbits.bit_length() + 2
+    g = 1
+    for j in reversed(range((L - 1).bit_length())):
+        spread = [_SPREAD[b] for b in g.to_bytes(-(-g.bit_length() // 8), "little")]
+        sq = int.from_bytes(b"".join(spread), "little")
+        g = 0
+        for e in range(fbits.bit_length()):
+            if fbits >> e & 1:
+                g ^= sq << e
+        g &= (1 << -(-L >> j)) - 1
+    return g
 
 
 def ref_exact(q: int, N: int) -> bool:

@@ -142,12 +142,28 @@ def test_family_range_parallel_matches_serial(capsys):
     ]
 
 
+def test_a_cap_changed_between_two_family_ranges_takes_effect_under_each_start_method(
+    capsys, monkeypatch, start_method
+):
+    # The parent admits every pair under the cap of the run; a worker that read
+    # the cap again would see the small one its forkserver started with.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 on any host
+    monkeypatch.setenv("F2REP_BIT_CAP", "1000")
+    code, small, err = run(capsys, "family", "range", "--r-max", "3", "--jobs", "2")
+    assert (code, err) == (0, "")
+    monkeypatch.delenv("F2REP_BIT_CAP")
+    code, out, err = run(capsys, "family", "range", "--r-max", "6", "--jobs", "2")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "family", "range", "--r-max", "6")[1]
+    assert out.startswith(small) and len(out.splitlines()) == 24
+
+
 def test_family_range_builds_one_closed_form_per_pair_and_reverses_nothing(capsys, monkeypatch):
-    # One walk over the closed form's windows per (r, variant), and no Newton series.
+    # One walk over the closed form's windows per (r, variant), and no series 1/f.
     built = []
     real = families._h_windows
     monkeypatch.setattr(families, "_h_windows", lambda r, v: built.append((r, v)) or real(r, v))
-    monkeypatch.setattr(families, "_newton_walk", lambda f, N, marks: pytest.fail("Newton ran"))
+    monkeypatch.setattr(families, "_series_walk", lambda f, N, marks: pytest.fail("the series ran"))
     for mod in (gf2poly, families, order_beta, search, cli):
         if hasattr(mod, "_reciprocal_int"):
             monkeypatch.setattr(mod, "_reciprocal_int", lambda a: pytest.fail("reversed"))
@@ -422,7 +438,7 @@ def test_order_that_needs_an_unfactorable_mersenne_number_fails_fast(capsys):
 
 def test_family_range_over_the_bit_cap_fails_before_any_member(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "verify_family", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "_verify_admitted", lambda *a, **k: calls.append(a))
     monkeypatch.setenv("F2REP_BIT_CAP", "20000")
     code, out, err = run(capsys, "family", "range", "--r-max", "8")
     assert (code, out, calls) == (1, "", [])
@@ -462,7 +478,7 @@ def test_family_over_the_ceiling_names_the_flag(capsys, argv):
 
 def test_family_range_with_a_huge_r_max_stops_at_the_first_refused_member(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "verify_family", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "_verify_admitted", lambda *a, **k: calls.append(a))
     monkeypatch.delenv("F2REP_BIT_CAP", raising=False)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "family", "range", "--r-max", "1000000", "--allow-large-r")
@@ -485,7 +501,7 @@ def test_family_range_with_a_huge_r_max_stops_at_the_first_refused_member(capsys
 )
 def test_family_range_refuses_an_empty_range_or_no_workers(capsys, monkeypatch, argv, message):
     calls = []
-    monkeypatch.setattr(cli, "verify_family", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "_verify_admitted", lambda *a, **k: calls.append(a))
     assert run(capsys, "family", "range", *argv) == (1, "", f"error: {message}\n")
     assert calls == []
 

@@ -240,7 +240,7 @@ def test_verify_family_refuses_a_predicted_period_that_is_not_one(monkeypatch):
 
 
 def test_verify_family_proves_the_closed_form_without_newton(monkeypatch):
-    monkeypatch.setattr(families, "_newton_walk", lambda f, N, marks: pytest.fail("Newton ran"))
+    monkeypatch.setattr(families, "_series_walk", lambda f, N, marks: pytest.fail("the series ran"))
     for r in range(1, EXACT_ORDER_CEILING + 1):
         for variant in (1, 2):
             for recip in (False, True):
@@ -262,8 +262,8 @@ def test_a_wrong_closed_form_falls_back_to_newton(monkeypatch):
 
     monkeypatch.setattr(families, "_h_windows", first_window_flipped)
     newton = []
-    real = families._newton_walk
-    monkeypatch.setattr(families, "_newton_walk", lambda f, N, marks: newton.append(N) or real(f, N, marks))
+    real = families._series_walk
+    monkeypatch.setattr(families, "_series_walk", lambda f, N, marks: newton.append(N) or real(f, N, marks))
     for spec in specs:
         v = verify_family(spec)
         assert v.closed_form_matches is (None if spec.reciprocal else False)
@@ -359,8 +359,8 @@ def test_a_faulty_window_stream_is_refused_and_newton_runs(monkeypatch, mutant):
 
     monkeypatch.setattr(families, "_h_windows", faulty)
     newton = []
-    real = families._newton_walk
-    monkeypatch.setattr(families, "_newton_walk", lambda f, N, marks: newton.append(N) or real(f, N, marks))
+    real = families._series_walk
+    monkeypatch.setattr(families, "_series_walk", lambda f, N, marks: newton.append(N) or real(f, N, marks))
     for spec in specs:
         v = verify_family(spec)
         assert v == replace(truth[spec], closed_form_matches=False), spec

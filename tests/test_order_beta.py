@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
@@ -12,16 +13,17 @@ from hypothesis import strategies as st
 
 from f2rep import F2Poly, beta, beta_N, cofactor, order, order_beta, parse_poly
 
-from f2rep.gf2poly import _modpow_x_int, _mul_int, _reciprocal_int
+from f2rep.gf2poly import _exponents_int, _modpow_x_int, _mul_int, _reciprocal_int
 from f2rep.order_beta import (
     _ORDER_SCAN_MAX,
     _dense_orders,
     _is_prime,
-    _newton_walk,
     _order_factored_int,
     _order_int,
     _order_scan_int,
     _prime_factors,
+    _series,
+    _series_walk,
     _stats,
     _walk,
 )
@@ -32,6 +34,7 @@ from reference import (
     ref_cofactor,
     ref_exact,
     ref_mul,
+    ref_newton_series,
     ref_order,
     ref_primes,
 )
@@ -275,7 +278,7 @@ def test_dense_counts_match_newton_on_every_covered_polynomial_below_2_15():
     assert ones[15 >> 1] == 0  # (1 + x)^3
     for f in sorted(covered):
         D = _kernel_orders()[f]
-        count, _, h = _newton_walk(f, D, ())
+        count, _, h = _series_walk(f, D, ())
         assert ones[f >> 1] == count == h.bit_count(), f
 
 
@@ -298,7 +301,7 @@ def test_dense_counts_match_newton_on_degrees_15_and_16(i):
     D = orders[i]
     assert D == _order_int(f, None)
     if ones[i]:
-        count, _, h = _newton_walk(f, D, ())
+        count, _, h = _series_walk(f, D, ())
         assert ones[i] == count == h.bit_count(), f
 
 
@@ -308,14 +311,86 @@ def test_newton_cofactor_matches_division_on_every_small_polynomial():
     for f in range(3, 1 << 13, 2):
         D = _kernel_orders()[f]
         for N in (D, 2 * D):
-            assert _newton_walk(f, N, ())[2] == ref_cofactor(f, N), (f, N)
+            assert _series_walk(f, N, ())[2] == ref_cofactor(f, N), (f, N)
         if D > 1:  # x + 1 alone has order 1, which divides every N
             # Next to the order, and below the degree: no period, no cofactor.
             for N in (D - 1, D + 1, f.bit_length() - 2):
                 with pytest.raises(ValueError, match="not a period"):
-                    _newton_walk(f, N, ())
+                    _series_walk(f, N, ())
     with pytest.raises(ValueError, match="not a period"):
-        _newton_walk(3, 0, ())
+        _series_walk(3, 0, ())
+
+
+def _product_series(fbits: int, N: int) -> int:
+    return _series(fbits, N, _exponents_int(fbits ^ 1))
+
+
+def test_the_product_series_is_newtons_on_every_polynomial_to_degree_14():
+    # Fails if a factor f(x^(2^i)) is left out, the product stops a step
+    # early, or a shifted g is cut at x^L's bit rather than below it.
+    for f, D in _kernel_orders().items():
+        assert _product_series(f, D) == ref_newton_series(f, D), f
+
+
+# Factors of degree 1 .. 7, so that products of degree 15 .. 28 keep small orders.
+_small_factors = st.integers(min_value=1, max_value=(1 << 7) - 1).map(lambda h: (h << 1) | 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_small_factors, min_size=2, max_size=8))
+@example([(1 << 7) | 1, (1 << 7) | (1 << 3) | 1, 0b111, 0b1011])  # taps[0] = 3
+def test_the_product_series_is_newtons_at_a_period_on_degrees_15_to_28(factors):
+    f = reduce(_mul_int, factors)
+    assume(15 <= f.bit_length() - 1 <= 28)
+    D = _order_int(f, 1 << 20)
+    assume(D is not None)
+    for N in (D, 2 * D):
+        assert _product_series(f, N) == ref_newton_series(f, N), (f, N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1 << 14, max_value=(1 << 28) - 1),
+    st.integers(min_value=1, max_value=18),
+    st.sampled_from([-1, 0, 1]),
+)
+@example((1 << 27) | (1 << 12), 16, 0)  # 1 + x^13 + x^28: the last factor's tap is 13
+def test_the_product_series_is_newtons_next_to_powers_of_two(high, k, step):
+    # Degrees 15 .. 28 and L = 2^k - 1, 2^k, 2^k + 1, so that taps[0] 2^i
+    # lands just below, on and just past L: the series needs no period.
+    f = (high << 1) | 1
+    L = (1 << k) + step
+    N = L + f.bit_length() - 2
+    assert _product_series(f, N) == ref_newton_series(f, N), (f, L)
+
+
+def test_the_product_series_squares_nothing(monkeypatch, f31):
+    def refuse(a):
+        raise AssertionError("the series squared")
+
+    monkeypatch.setattr(order_beta, "_square_int", refuse)
+    # x^4 + x + 1 at 1024 times its order, and the degree-9 worked example.
+    for f, N in ((0b10011, 15 << 10), (f31.bits, 63)):
+        assert _series_walk(f, N, ())[2] == ref_cofactor(f, N), (f, N)
+    # Off a period the walk refuses, but the series is still built.
+    with pytest.raises(ValueError, match="not a period"):
+        _series_walk(0b10011, 15 << 10 | 1, ())
+
+
+@pytest.mark.parametrize("f", [0b10011, (1 << 9) | (1 << 7) | 0b11, (1 << 28) | (1 << 13) | 1])
+@pytest.mark.parametrize("L", [(1 << 22) - 1, 1 << 22, (1 << 22) + 1])
+def test_the_product_series_holds_no_more_than_newton(f, L):
+    # Newton's loop peaked at 4.27 L/8 bytes here.  The product holds at most
+    # g, the next g, g masked below x^(L - k) and that shifted by k.
+    N = L + f.bit_length() - 2
+    taps = _exponents_int(f ^ 1)
+    tracemalloc.start()
+    try:
+        _series(f, N, taps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * L / 8, peak / (L / 8)
 
 
 def _windows_of(q: int, N: int, width: int):
@@ -361,7 +436,7 @@ def test_exact_holds_only_at_the_order_on_every_small_polynomial():
         D = _kernel_orders()[f]
         for k in (1, 2, 3, 4, 6):
             N = k * D
-            q = _newton_walk(f, N, ())[2]
+            q = _series_walk(f, N, ())[2]
             assert f >> 10 or q == ref_cofactor(f, N), (f, N)
             verdict = (q.bit_count(), k == 1)
             assert ref_exact(q, N) == (k == 1), (f, N)
@@ -427,10 +502,10 @@ def test_newton_cofactor_is_the_quotient_or_none(high, extra):
     f = (high << 1) | 1
     N = f.bit_length() - 1 + extra
     if _modpow_x_int(N, f) == 1:
-        assert _newton_walk(f, N, ())[2] == ref_cofactor(f, N)
+        assert _series_walk(f, N, ())[2] == ref_cofactor(f, N)
     else:
         with pytest.raises(ValueError, match="not a period"):
-            _newton_walk(f, N, ())
+            _series_walk(f, N, ())
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,7 +522,7 @@ def test_reciprocal_has_the_same_order_and_the_reversed_cofactor(g_high, h_high)
     assume(D is not None)
     rev = _reciprocal_int(f)
     assert _order_int(rev, 1 << 22) == D
-    assert _newton_walk(rev, D, ())[2] == _reciprocal_int(_newton_walk(f, D, ())[2])
+    assert _series_walk(rev, D, ())[2] == _reciprocal_int(_series_walk(f, D, ())[2])
 
 
 @settings(max_examples=60, deadline=None)

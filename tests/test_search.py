@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing
-import signal
-import sys
 import time
-import types
 from array import array
 from fractions import Fraction
 
@@ -28,7 +24,7 @@ from f2rep import (
     write_scan_jsonl,
 )
 from f2rep import bit_cap, search
-from f2rep.order_beta import _dense_orders, _newton_walk, _order_int
+from f2rep.order_beta import _dense_orders, _order_int, _series_walk
 from f2rep.search import _chunks, _corpus, _counted, _make_record, _order_ceiling
 
 from reference import ref_csv_row
@@ -360,12 +356,12 @@ def test_members_counted_by_theorem_never_build_a_cofactor(monkeypatch, jobs):
     covered = _counts_by_theorem(12)
     assert len(covered) == 1491
 
-    def newton_walk(n, N, marks):
+    def series_walk(n, N, marks):
         if n in covered:
             raise AssertionError(f"{n} has its count by theorem but built a cofactor")
-        return _newton_walk(n, N, marks)
+        return _series_walk(n, N, marks)
 
-    monkeypatch.setattr(search, "_newton_walk", newton_walk)
+    monkeypatch.setattr(search, "_series_walk", series_walk)
     assert run(config) == expected
 
 
@@ -389,7 +385,7 @@ def test_a_count_by_theorem_needs_its_period_proved(monkeypatch):
     for w in (4, 0):
         with pytest.raises(ArithmeticError, match="6 is not a period of x\\^3 \\+ x \\+ 1"):
             _counted(11, 6, w, cap)
-    monkeypatch.setattr(search, "_newton_walk", lambda *a: pytest.fail("built a cofactor"))
+    monkeypatch.setattr(search, "_series_walk", lambda *a: pytest.fail("built a cofactor"))
     assert _counted(11, 7, 4, cap) == (7, 4)
 
 
@@ -512,28 +508,8 @@ def test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, jobs):
         run(config)
 
 
-# A forkserver worker forks from a server that keeps the environment it started
-# with, and a spawn worker starts from the environment of its start: the cap
-# must reach the workers in their tasks.  The pool comes from the method's
-# context for these tests only; the process-wide default is left alone.
-@pytest.fixture(params=["forkserver", "spawn"])
-def start_method(monkeypatch, request):
-    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(request.param).Pool)
-    # The server and the workers import no __main__: the script that runs the
-    # tests need not be safe to import, and one that reruns them never ends.
-    monkeypatch.setitem(sys.modules, "__main__", types.ModuleType("__main__"))
-
-    # A pool whose workers die waits on their results for ever: end the test instead.
-    def expire(signum, frame):
-        raise TimeoutError(f"no result from the {request.param} pool in 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
+# The cap must reach forkserver and spawn workers in their tasks: see the
+# start_method fixture in conftest.py.
 def test_a_library_scan_refuses_at_the_cap_under_each_start_method(monkeypatch, start_method):
     for refusal in _REFUSALS:
         test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(monkeypatch, 2, *refusal)
