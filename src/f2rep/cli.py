@@ -19,6 +19,7 @@ from .families import (
     _admit,
     _reciprocal_verdict,
     _verify_admitted,
+    family_prediction,
     verify_family,
 )
 from .gf2poly import BitCapExceeded, F2Poly, ensure_bits, parse_poly
@@ -137,9 +138,11 @@ def _cmd_family_range(args: argparse.Namespace) -> int:
             _admit(FamilySpec(r=r, variant=variant), args.allow_large_r)
     # One task per (r, variant), largest r first so that a pool starts on the
     # costliest; each base verdict also gives its reciprocal member's line.
-    # The pairs are admitted already, so no worker reads the environment.
+    # The pairs are admitted already, so no worker reads the environment.  A
+    # pair's work is its period N, the length of the walk over its cofactor.
     bases = [FamilySpec(r=r, variant=v) for r in range(args.r_max, 0, -1) for v in (1, 2)]
-    verdicts = sorted(_ordered_map(_verify_admitted, bases, args.jobs), key=lambda v: v.spec.r)
+    work = ((1, family_prediction(s).period) for s in bases)
+    verdicts = sorted(_ordered_map(_verify_admitted, bases, args.jobs, work), key=lambda v: v.spec.r)
     for v in verdicts:
         print(_family_line(v))
         print(_family_line(_reciprocal_verdict(v)))
@@ -217,6 +220,7 @@ def _cmd_gapcheck(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    jobs_help = "worker processes; a run too small to pay for a pool runs in this process"
     parser = argparse.ArgumentParser(
         prog="f2rep",
         description="Orders, cofactor statistics, robust families, and "
@@ -250,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = fsub.add_parser("range", help="all members for r = 1..R")
     pr.add_argument("--r-max", type=int, default=8)
     pr.add_argument("--allow-large-r", action="store_true")
-    pr.add_argument("--jobs", type=int, default=1)
+    pr.add_argument("--jobs", type=int, default=1, help=jobs_help)
     pr.set_defaults(func=_cmd_family_range)
 
     p = sub.add_parser("scan", help="per-polynomial records over a corpus")
@@ -263,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true", default=True, help="CSV rows (the default)")
     fmt.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
     p.set_defaults(func=_cmd_scan)

@@ -15,14 +15,13 @@ rather than being dropped, keeping censuses honest about their universe.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, islice
-from math import inf
+from itertools import accumulate, combinations, groupby, islice
+from math import comb, inf
 from typing import NamedTuple, TextIO
 
 from .gf2poly import _modpow_x_int, _over_cap, _reciprocal_int, _text_from_int, bit_cap, ensure_bits
@@ -49,6 +48,9 @@ _CHUNK = 2048
 # The top degree whose orders come from the sieve: its tables, 15 bytes per odd
 # polynomial, reach 2.0 MB at degree 17 and take 0.36 s to build (Python 3.11.7).
 _DENSE_MAX = 17
+# A pool starts only for a run that weighs this much (see _pays): lighter runs
+# lose more to starting workers than the workers win (jobs-2/jobs-1 times in CHANGES.md).
+_POOL_MIN_WORK = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -223,17 +225,35 @@ def _scan_chunk(task: tuple) -> tuple[tuple[int, ...], list]:
     ]
 
 
-def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+def _work(config: ScanConfig) -> Iterator[tuple[int, int]]:
+    """(members, 2^d) per degree d of the corpus, for _pays; a shape counts its
+    whole top degree, also where index_max cuts it."""
+    stop, middles = config.index_stop, 1 if config.shape == "trinomial" else 2
+    for d in range((stop - 1).bit_length()):
+        odd = min(2 << d, stop) // 2 - (1 << d) // 2
+        yield odd if config.shape == "all" else comb(max(d - 1, 0), middles), 1 << d
+
+
+def _pays(work: Iterable[tuple[int, int]]) -> bool:
+    """Whether (members, coefficient bits of each) pairs weigh _POOL_MIN_WORK, a
+    member weighing 2^16 plus its bits; the sum stops there, so work may be endless."""
+    return any(w >= _POOL_MIN_WORK for w in accumulate(k * ((1 << 16) + b) for k, b in work))
+
+
+def _ordered_map(fn: Callable, items: Iterable, jobs: int, work: Iterable) -> Iterator:
     """fn over items, results in item order.
 
-    Workers are capped at the core count.  A single one runs in this process;
-    a pool takes one item at a time, so one costly item never shares a
+    Workers are capped at the cores this process may run on.  A single one, or
+    a run whose work (as _pays weighs it) does not pay for a pool, runs in this
+    process; a pool takes one item at a time, so one costly item never shares a
     worker's chunk, and at most 8 * jobs are in flight, so a lazy input is not drained.
     """
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, cores)
+    if jobs <= 1 or not _pays(work):
         yield from map(fn, items)
         return
+    import multiprocessing  # loaded only where a pool starts
     with multiprocessing.Pool(jobs) as pool:
         pending: deque = deque()
         for item in items:
@@ -251,11 +271,11 @@ def scan(
     """Records for every odd index of the corpus, ordered by index, the same
     for every worker count.  f and rev f share the order and the cofactor
     counts, so only the member n <= rev n of each pair is computed, in lazy
-    chunks (on a pool when jobs > 1); the other takes its (order, ones)."""
+    chunks (on a pool when jobs > 1 and _pays); the other takes its (order, ones)."""
     stop = config.index_stop
     partners: dict[int, tuple[int | None, int | None]] = {}
     stats: dict = {}
-    for members, pairs in _ordered_map(_scan_chunk, _chunks(config), config.jobs):
+    for members, pairs in _ordered_map(_scan_chunk, _chunks(config), config.jobs, _work(config)):
         if progress is not None:
             progress(members[0] // 2, stop // 2)
         for n, pair in zip(members, pairs):

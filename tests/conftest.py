@@ -1,17 +1,19 @@
 """Shared fixtures: the worked example polynomials and their frozen data,
-and pools under the forkserver and spawn start methods."""
+pools for runs of any size, and pools under the forkserver and spawn start
+methods."""
 
 from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.forkserver
+import os
 import signal
 import sys
 import types
 
 import pytest
 
-from f2rep import parse_poly
+from f2rep import parse_poly, search
 
 # Cofactor exponent sets of the two degree-9/10 worked examples, frozen from
 # the published expansions of (1 + x^63)/(1 + x + x^7 + x^9) and
@@ -38,13 +40,22 @@ def f32():
     return parse_poly("x^10 + x^8 + x + 1")
 
 
+# A run at jobs >= 2 starts a pool only if its work pays for one; a test of the
+# pool itself takes this fixture, so that even its small runs start a pool of 2.
+@pytest.fixture
+def pool(monkeypatch):
+    monkeypatch.setattr(search, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 # A forkserver worker forks from a server that keeps the environment it started
 # with, and a spawn worker starts from the environment of its start: what a
 # worker needs of the parent's environment must reach it in its task.  The pool
 # comes from the method's context for these tests only; the process-wide
 # default is left alone.
 @pytest.fixture(params=["forkserver", "spawn"])
-def start_method(monkeypatch, request):
+def start_method(monkeypatch, request, pool):
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(request.param).Pool)
     # The server and the workers import no __main__: the script that runs the
     # tests need not be safe to import, and one that reruns them never ends.

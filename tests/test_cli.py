@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -131,7 +132,7 @@ def test_family_range_covers_all_members(capsys):
     assert lines[-1].startswith("r=3 variant=2 reciprocal=true")
 
 
-def test_family_range_parallel_matches_serial(capsys):
+def test_family_range_parallel_matches_serial(capsys, pool):
     # The pool takes the pairs largest r first; the lines still come in r order.
     _, serial, _ = run(capsys, "family", "range", "--r-max", "6")
     _, parallel, _ = run(capsys, "family", "range", "--r-max", "6", "--jobs", "2")
@@ -147,7 +148,6 @@ def test_a_cap_changed_between_two_family_ranges_takes_effect_under_each_start_m
 ):
     # The parent admits every pair under the cap of the run; a worker that read
     # the cap again would see the small one its forkserver started with.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 on any host
     monkeypatch.setenv("F2REP_BIT_CAP", "1000")
     code, small, err = run(capsys, "family", "range", "--r-max", "3", "--jobs", "2")
     assert (code, err) == (0, "")
@@ -249,7 +249,7 @@ def test_an_out_path_that_cannot_be_opened_is_one_error_line(capsys, tmp_path, c
     assert "Traceback" not in err
 
 
-def test_jobs_are_capped_at_the_core_count(capsys, monkeypatch):
+def test_jobs_are_capped_at_the_core_count(capsys, monkeypatch, pool):
     sizes = []
 
     class FakePool:
@@ -266,14 +266,68 @@ def test_jobs_are_capped_at_the_core_count(capsys, monkeypatch):
             result = fn(*args)
             return SimpleNamespace(get=lambda: result)
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)  # search imports it where a pool starts
     serial = run(capsys, "scan", "--degree-max", "3")
     assert run(capsys, "scan", "--degree-max", "3", "--jobs", "100000") == serial
     assert sizes == [2]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity: the core count
+    assert run(capsys, "scan", "--degree-max", "3", "--jobs", "100000") == serial
+    assert sizes == [2, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one, in this process
     assert run(capsys, "scan", "--degree-max", "3", "--jobs", "2") == serial
-    assert sizes == [2]
+    assert sizes == [2, 2]
+
+
+def test_a_process_allowed_one_core_starts_no_pool(capsys, monkeypatch, pool):
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: pytest.fail("started a pool"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})  # of the 2 that cpu_count reports
+    for argv in (["scan", "--degree-max", "5"], ["family", "range", "--r-max", "3"]):
+        assert run(capsys, *argv, "--jobs", "2") == run(capsys, *argv)
+
+
+def test_a_pool_starts_only_where_the_run_pays_for_it(capsys, monkeypatch, request):
+    # Two cores on any host; at the default weight these runs are too small for a pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: pytest.fail("started a pool"))
+    for argv in (
+        ["family", "range", "--r-max", "12", "--allow-large-r"],
+        ["scan", "--shape", "quadrinomial", "--degree-max", "20"],
+    ):
+        assert run(capsys, *argv, "--jobs", "2") == run(capsys, *argv)
+    request.getfixturevalue("pool")  # a pool for every run at jobs 2
+    starts = []
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: starts.append(processes) or real(processes))
+    argv = ["family", "range", "--r-max", "3"]
+    assert run(capsys, *argv, "--jobs", "2") == run(capsys, *argv)
+    assert starts == [2]
+
+
+def test_a_family_range_weighs_its_pairs_by_period(capsys, monkeypatch):
+    # The weight is read before any pair is verified: no pool, and no verdict.
+    work = []
+    monkeypatch.setattr(cli, "_ordered_map", lambda fn, items, jobs, w: work.append(list(w)) or [])
+    monkeypatch.setenv("F2REP_BIT_CAP", str(1 << 30))
+    for r_max in (12, 13, 14):
+        assert run(capsys, "family", "range", "--r-max", str(r_max), "--allow-large-r", "--jobs", "2") == (0, "", "")
+    specs = [families.FamilySpec(r, v) for r in range(14, 0, -1) for v in (1, 2)]
+    assert work[2] == [(1, families.family_prediction(s).period) for s in specs]
+    # r <= 13 weighs 1.8e8, under the 2^29 that a pool needs; r <= 14 weighs 7.2e8.
+    assert [search._pays(w) for w in work] == [False, False, True]
+
+
+def test_importing_the_cli_loads_no_pool_machinery():
+    # Nor does a run at jobs 2 too small for a pool.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, f2rep.cli; f2rep.cli.main(['scan', '--degree-max', '3', '--jobs', '2']); "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[-1] == b"[]"
 
 
 @pytest.mark.parametrize(
@@ -515,7 +569,7 @@ def test_parity_series_over_the_bit_cap_fails_fast(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_scan_over_the_bit_cap_fails_with_the_cap_message(capsys, monkeypatch, jobs):
+def test_scan_over_the_bit_cap_fails_with_the_cap_message(capsys, monkeypatch, pool, jobs):
     # Degree 12 can hold orders up to 4095, so the scan is refused before its first record.
     monkeypatch.setenv("F2REP_BIT_CAP", "1000")
     code, _, err = run(capsys, "scan", "--degree-max", "12", "--jobs", jobs)

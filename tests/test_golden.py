@@ -45,7 +45,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
-def test_output_digest(capsys, argv):
+def test_output_digest(capsys, pool, argv):  # jobs 2 on a pool, however small the run
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 0

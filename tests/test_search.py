@@ -25,7 +25,7 @@ from f2rep import (
 )
 from f2rep import bit_cap, search
 from f2rep.order_beta import _dense_orders, _order_int, _series_walk
-from f2rep.search import _chunks, _corpus, _counted, _make_record, _order_ceiling
+from f2rep.search import _chunks, _corpus, _counted, _make_record, _order_ceiling, _pays, _work
 
 from reference import ref_csv_row
 
@@ -120,7 +120,7 @@ def test_shape_filters():
     assert len(tri) == sum(1 for r in full if bin(r.n).count("1") == 3)
 
 
-def test_parallel_scan_is_deterministic():
+def test_parallel_scan_is_deterministic(pool):
     cfg1 = ScanConfig(index_max=3000, jobs=1)
     cfg2 = ScanConfig(index_max=3000, jobs=3)
     buf1, buf2 = io.StringIO(), io.StringIO()
@@ -195,7 +195,7 @@ def test_csv_rows_of_every_status_match_the_cell_by_cell_row():
     assert lines[-1] == "7,x^2 + x + 1,2,3,true,0,1,0,1,true,1,true,ok\n"
 
 
-def test_scan_record_is_a_named_tuple_of_twelve_fields():
+def test_scan_record_is_a_named_tuple_of_twelve_fields(pool):
     assert ScanRecord._fields == (
         "n", "poly", "degree", "order", "order_exact", "ell1", "ell0",
         "gamma", "robust", "gap", "bound_ok", "status",
@@ -206,6 +206,38 @@ def test_scan_record_is_a_named_tuple_of_twelve_fields():
         rec.order = 4
     assert rec._replace(order=4).order == 4 and rec.order == 3
     assert run(ScanConfig(degree_max=10)) == run(ScanConfig(degree_max=10, jobs=2))
+
+
+@pytest.mark.parametrize("shape", list(_WEIGHT))
+@pytest.mark.parametrize("extent", [{"degree_max": 12}, {"index_max": 3000}, {"index_max": 4097}])
+def test_a_scan_weighs_its_members_by_degree(shape, extent):
+    config = ScanConfig(shape=shape, **extent)
+    by_degree = [0] * (config.index_stop - 1).bit_length()
+    for n in _corpus(config):
+        by_degree[n.bit_length() - 1] += 1
+    work = list(_work(config))
+    assert [bits for _, bits in work] == [1 << d for d in range(len(by_degree))]
+    if shape == "all" or "degree_max" in extent:
+        assert [k for k, _ in work] == by_degree
+    else:  # a shape counts the whole top degree that index_max cuts
+        assert [k for k, _ in work][:-1] == by_degree[:-1] and work[-1][0] >= by_degree[-1]
+
+
+def test_the_weight_of_a_scan_decides_its_pool():
+    # Each member weighs 2^16 plus 2^d; a pool needs 2^29 in all.
+    assert _pays([(1, (1 << 29) - (1 << 16))]) and not _pays([(1, (1 << 29) - (1 << 16) - 1)])
+    many = ((1 << 12) - 1, 1 << 16)  # 2^29 - 2^17
+    assert _pays([many, (1, 1 << 16)]) and not _pays([many, (1, (1 << 16) - 1)])
+    # degree 13 (5.8e8) and 14 (1.25e9) start one; degree 12 (2.8e8) does not.
+    heavy = [PRESETS["degree14"], ScanConfig(degree_max=13), ScanConfig(degree_max=21, shape="quadrinomial")]
+    light = [ScanConfig(degree_max=12), ScanConfig(degree_max=20, shape="quadrinomial")]
+    light += [PRESETS["trinomials19"], PRESETS["quadrinomials18"], ScanConfig(index_max=1 << 13)]
+    assert [_pays(_work(c)) for c in heavy + light] == [True] * 3 + [False] * 5
+    # The sum stops at the weight a pool needs, so a huge corpus is weighed at once.
+    t0 = time.perf_counter()
+    assert _pays(_work(ScanConfig(degree_max=10**8))) and _pays(_work(ScanConfig(index_max=1 << 10**6)))
+    assert _pays(_work(ScanConfig(degree_max=10**8, shape="trinomial")))
+    assert time.perf_counter() - t0 < 1
 
 
 def test_dense_chunks_carry_table_slices():
@@ -285,7 +317,7 @@ def test_gap_census_validation():
         gap_census(0)
 
 
-def test_progress_callback_counts_everything():
+def test_progress_callback_counts_everything(pool):
     seen = []
     list(scan(ScanConfig(index_max=10000, jobs=2), progress=lambda d, t: seen.append((d, t))))
     assert seen[-1] == (5000, 5000)
@@ -309,14 +341,14 @@ def test_huge_scan_yields_its_first_record_at_once(jobs):
 @pytest.mark.parametrize("extent", [{"degree_max": 10}, {"index_max": 3000}, {"index_max": 4097}])
 @pytest.mark.parametrize("bound", [None, 83])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_the_dense_limit_does_not_change_the_records(monkeypatch, extent, bound, jobs):
+def test_the_dense_limit_does_not_change_the_records(monkeypatch, pool, extent, bound, jobs):
     expected = run(ScanConfig(order_bound=bound, jobs=jobs, **extent))
     monkeypatch.setattr(search, "_DENSE_MAX", 6)
     assert run(ScanConfig(order_bound=bound, jobs=jobs, **extent)) == expected
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_the_sieve_grows_in_this_process_up_to_the_limit_only(monkeypatch, jobs):
+def test_the_sieve_grows_in_this_process_up_to_the_limit_only(monkeypatch, pool, jobs):
     # A table grown in a worker would never reach `grown`, which lives here.
     grown = []
 
@@ -350,7 +382,7 @@ def _counts_by_theorem(degree_max: int) -> dict[int, tuple[int, int]]:
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_members_counted_by_theorem_never_build_a_cofactor(monkeypatch, jobs):
+def test_members_counted_by_theorem_never_build_a_cofactor(monkeypatch, pool, jobs):
     config = ScanConfig(degree_max=12, jobs=jobs)
     expected = [_make_record(n, *_record(n, None), {}) for n in _old_filter(config)]
     covered = _counts_by_theorem(12)
@@ -417,7 +449,7 @@ def test_corpus_lists_what_the_weight_filter_kept(shape, extent):
         ({"degree_max": 12}, 63, 1),  # a bound that some orders meet exactly
     ],
 )
-def test_paired_scan_matches_a_record_per_index(shape, extent, bound, jobs):
+def test_paired_scan_matches_a_record_per_index(pool, shape, extent, bound, jobs):
     config = ScanConfig(shape=shape, order_bound=bound, jobs=jobs, **extent)
     assert run(config) == [_make_record(n, *_record(n, bound), {}) for n in _old_filter(config)]
 
@@ -426,7 +458,7 @@ def test_paired_scan_matches_a_record_per_index(shape, extent, bound, jobs):
 @pytest.mark.parametrize("shape", list(_WEIGHT))
 @pytest.mark.parametrize("bound", [None, 83])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_partners_in_later_chunks(monkeypatch, shape, bound, jobs):
+def test_partners_in_later_chunks(monkeypatch, pool, shape, bound, jobs):
     monkeypatch.setattr(search, "_CHUNK", 7)
     config = ScanConfig(degree_max=10, shape=shape, order_bound=bound, jobs=jobs)
     assert run(config) == [_make_record(n, *_record(n, bound), {}) for n in _old_filter(config)]
@@ -481,7 +513,7 @@ _REFUSALS = [
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("shape,cap,kept,size", _REFUSALS)
 def test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(
-    monkeypatch, jobs, shape, cap, kept, size
+    monkeypatch, pool, jobs, shape, cap, kept, size
 ):
     monkeypatch.setenv("F2REP_BIT_CAP", str(cap))
     records = []
@@ -496,7 +528,7 @@ def test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, jobs):
+def test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, pool, jobs):
     config = ScanConfig(degree_max=8, jobs=jobs)
     monkeypatch.setenv("F2REP_BIT_CAP", "255")
     with pytest.raises(BitCapExceeded, match="about 256 coefficient bits but the cap is 255 "):
@@ -512,8 +544,8 @@ def test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, jobs):
 # start_method fixture in conftest.py.
 def test_a_library_scan_refuses_at_the_cap_under_each_start_method(monkeypatch, start_method):
     for refusal in _REFUSALS:
-        test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(monkeypatch, 2, *refusal)
+        test_a_library_scan_refuses_the_first_order_that_reaches_the_cap(monkeypatch, None, 2, *refusal)
 
 
 def test_a_cap_changed_between_two_scans_takes_effect_under_each_start_method(monkeypatch, start_method):
-    test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, 2)
+    test_a_cap_changed_between_two_scans_takes_effect(monkeypatch, None, 2)
